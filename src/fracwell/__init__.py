@@ -15,7 +15,9 @@ from .grids import (
     FieldPair, GridDomain, GridError, GridField, build_grid, discrete_norm,
     inner, sample_field,
 )
-from .fracops import apply_operator, bilinear_form, bracket, gagliardo_sum
+from .fracops import (
+    apply_operator, bilinear_form, bracket, gagliardo_sum, operator_and_bracket,
+)
 from .kirchhoff import (
     HypothesisReport, KirchhoffFn, check_hypotheses, k_antideriv, k_eval,
     scaling_suite,

@@ -19,13 +19,15 @@ Schema (all keys required unless noted):
     }
 
 Kirchhoff "beta" defaults to the params beta.  No expression language: the
-initial data come from the named presets only.
+initial data come from the named presets only.  Unknown keys at the top level
+and in the "integrator" and "well_depth" blocks are rejected by name, so a
+typo such as "rtoll" fails instead of running with the default.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .grids import GridDomain, GridField, build_grid, sample_field
@@ -45,6 +47,13 @@ _DEFAULTS_INTEGRATOR = {
     "dt_max": None,
 }
 _DEFAULTS_WELL = {"directions": 200, "modes": 6, "refine_iters": 0}
+
+
+def _reject_unknown(block: dict, allowed, where: str) -> None:
+    allowed = sorted(allowed)
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}; allowed: {allowed}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,9 @@ class ExperimentConfig:
         missing = [k for k in required if k not in raw]
         if missing:
             raise ConfigError(f"config missing keys: {missing}")
+        _reject_unknown(raw, (f.name for f in fields(cls)), "config")
+        _reject_unknown(raw["integrator"], ("t_end", *_DEFAULTS_INTEGRATOR), "integrator")
+        _reject_unknown(raw.get("well_depth", {}), _DEFAULTS_WELL, "well_depth")
         psi_variant = raw.get("psi_variant", "consistent")
         if psi_variant not in ("consistent", "printed"):
             raise ConfigError(f"psi_variant must be consistent|printed, got {psi_variant!r}")

@@ -33,11 +33,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracops import apply_operator, bracket
+from .fracops import operator_and_bracket
 from .grids import GridField, inner
 from .kirchhoff import KirchhoffFn, k_eval
 from .params import ModelParams, ParamError
-from .variational import EnergyReport, energy_report
+from .variational import EnergyReport, _masked_log_product, energy_report
 
 
 def rhs(
@@ -51,15 +51,10 @@ def rhs(
     exact; see the module docstring.
     """
     p, q, sig, s = params.p, params.q, params.sigma, params.s
-    A = bracket(u, p, s)
-    B = bracket(v, q, s)
-    Lu = apply_operator(u, p, s)
-    Lv = apply_operator(v, q, s)
+    Lu, A = operator_and_bracket(u, p, s)
+    Lv, B = operator_and_bracket(v, q, s)
     uu, vv = u.values, v.values
-    prod = np.abs(uu) * np.abs(vv)
-    lg = np.zeros_like(prod)
-    mask = prod > 0.0
-    lg[mask] = np.log(prod[mask])
+    lg, _ = _masked_log_product(uu, vv)
     f1 = np.abs(vv) ** sig * np.sign(uu) * np.abs(uu) ** (sig - 1.0) * lg
     f2 = np.abs(uu) ** sig * np.sign(vv) * np.abs(vv) ** (sig - 1.0) * lg
     du = -(k_eval(K_p, A) / p) * Lu.values + f1
@@ -138,7 +133,7 @@ class SimTrace:
     psi_variant: str = "consistent"
 
     def column(self, name: str) -> np.ndarray:
-        if hasattr(StepRecord, "__dataclass_fields__") and name in StepRecord.__dataclass_fields__:
+        if name in StepRecord.__dataclass_fields__:
             return np.array([getattr(r, name) for r in self.records])
         return np.array([getattr(r.report, name) for r in self.records])
 

@@ -17,6 +17,16 @@ up to floating-point summation order, because the operator is defined as the
 row sum of the same antisymmetric kernel the bilinear form contracts.  This
 makes the energy bookkeeping of the flow testable at machine precision rather
 than only in the mesh limit.
+
+One pass per field: ``operator_and_bracket`` builds the difference table
+d_ij = u_i - u_j and |d| once, in place, and returns both the operator and
+the bracket, so each right-hand side makes one dense pass per field.
+``apply_operator``, ``gagliardo_sum`` and ``bracket`` run the same pass with
+one of its two outputs switched off.  The bracket stays sum |d|^p W h^(2N)/p,
+with its own power of |d|, and is never taken from the duality shortcut
+inner(Lu, u)/p: the shortcut differs in the last bits, and the adaptive step
+controller amplifies ulp changes in K(A) into the step size.  Every output is
+therefore bit-identical to the separate passes.
 """
 
 from __future__ import annotations
@@ -59,15 +69,41 @@ def _signed_power(d: np.ndarray, p: float) -> np.ndarray:
     return np.sign(d) * np.abs(d) ** (p - 1.0)
 
 
+def _dense_pass(
+    u: GridField, p: float, s: float, operator: bool, seminorm: bool
+) -> tuple[np.ndarray | None, float | None]:
+    """One pass over the difference table of u: (operator values, Gagliardo sum).
+
+    The table d = u_i - u_j and |d| are built once; every later step
+    overwrites a buffer in place, so a pass holds at most three M x M arrays
+    besides the shared weight table.  An output that is switched off is None.
+    The arithmetic and its order match the textbook expressions
+    sum |d|^p W h^(2N) and 2 h^N sum_j sign(d)|d|^(p-1) W, so every result is
+    bit-identical to them.
+    """
+    W = weight_table(u.domain, p, s)
+    d = np.subtract.outer(u.values, u.values)
+    a = np.abs(d, out=None if operator else d)   # d itself is only needed for its sign
+    gag = values = None
+    if seminorm:
+        t = np.power(a, p, out=None if operator else a)
+        t *= W
+        gag = float(np.sum(t) * u.domain.cell_measure ** 2)
+    if operator:
+        np.power(a, p - 1.0, out=a)
+        np.sign(d, out=d)
+        d *= a
+        d *= W
+        values = 2.0 * u.domain.cell_measure * np.sum(d, axis=1)
+    return values, gag
+
+
 def gagliardo_sum(u: GridField, p: float, s: float) -> float:
     """p-th power of the Gagliardo seminorm over box x box.
 
     Returns sum_{i != j} |u_i - u_j|^p / |x_i - x_j|^(N+sp) * h^(2N).
     """
-    W = weight_table(u.domain, p, s)
-    du = u.values[:, None] - u.values[None, :]
-    h2 = u.domain.cell_measure ** 2
-    return float(np.sum(np.abs(du) ** p * W) * h2)
+    return _dense_pass(u, p, s, operator=False, seminorm=True)[1]
 
 
 def bracket(u: GridField, p: float, s: float) -> float:
@@ -96,10 +132,16 @@ def apply_operator(u: GridField, p: float, s: float) -> GridField:
     discrete level, and so that the gradient of ``bracket`` with respect to
     the nodal value u_i is h^N * (Lu)_i.
     """
-    W = weight_table(u.domain, p, s)
-    du = u.values[:, None] - u.values[None, :]
-    out = 2.0 * u.domain.cell_measure * np.sum(_signed_power(du, p) * W, axis=1)
-    return GridField(u.domain, out)
+    return GridField(u.domain, _dense_pass(u, p, s, operator=True, seminorm=False)[0])
+
+
+def operator_and_bracket(u: GridField, p: float, s: float) -> tuple[GridField, float]:
+    """``(apply_operator(u, p, s), bracket(u, p, s))`` from one pairwise pass.
+
+    Both results are bit-identical to the separate calls.
+    """
+    values, gag = _dense_pass(u, p, s, operator=True, seminorm=True)
+    return GridField(u.domain, values), gag / p
 
 
 # Naive double-loop references: used only by the exactness cross-checks.

@@ -44,6 +44,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="missing keys"):
             ExperimentConfig.from_dict({"params": {}})
 
+    @pytest.mark.parametrize("block, key", [(None, "outputdir"),
+                                            ("integrator", "rtoll"),
+                                            ("well_depth", "direction")])
+    def test_unknown_keys_rejected_by_name(self, tmp_path, block, key):
+        raw = json.loads(make_config(tmp_path).read_text())
+        (raw if block is None else raw[block])[key] = 1
+        with pytest.raises(ConfigError, match=f"unknown .*'{key}'.*allowed") as info:
+            ExperimentConfig.from_dict(raw)
+        if block == "integrator":
+            assert "'rtol'" in str(info.value)
+
     def test_bad_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             ExperimentConfig.from_json("{nope")

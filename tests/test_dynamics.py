@@ -31,6 +31,27 @@ class TestRightHandSide:
         assert np.allclose(du.values, expected, rtol=1e-14)
         assert np.all(dv.values == 0.0)
 
+    def test_bitwise_equal_to_separate_kernel_calls(self, grid32, flagship_params):
+        # the fused pass must not move a single bit: the step controller
+        # amplifies ulp changes of K(A) into the step size
+        from fracwell import KirchhoffFn
+        from fracwell.variational import _masked_log_product
+        Kp = KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25)
+        Kq = KirchhoffFn.log1p(beta=1.0)
+        prm = flagship_params
+        u, v = random_pair(grid32, 77)
+        du, dv = rhs(u, v, prm, Kp, Kq)
+        uu, vv = u.values, v.values
+        lg, _ = _masked_log_product(uu, vv)
+        f1 = np.abs(vv) ** prm.sigma * np.sign(uu) * np.abs(uu) ** (prm.sigma - 1.0) * lg
+        f2 = np.abs(uu) ** prm.sigma * np.sign(vv) * np.abs(vv) ** (prm.sigma - 1.0) * lg
+        want_u = (-(k_eval(Kp, bracket(u, prm.p, prm.s)) / prm.p)
+                  * apply_operator(u, prm.p, prm.s).values + f1)
+        want_v = (-(k_eval(Kq, bracket(v, prm.q, prm.s)) / prm.q)
+                  * apply_operator(v, prm.q, prm.s).values + f2)
+        assert np.array_equal(du.values, want_u)
+        assert np.array_equal(dv.values, want_v)
+
     def test_energy_chain(self, grid32, flagship_params, unit_kirchhoff):
         for seed in range(5):
             u, v = random_pair(grid32, 300 + seed)

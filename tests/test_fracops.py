@@ -3,9 +3,9 @@ import pytest
 
 from fracwell import (
     GridField, apply_operator, bilinear_form, bracket, build_grid,
-    gagliardo_sum, inner, sample_field,
+    gagliardo_sum, inner, operator_and_bracket, sample_field,
 )
-from fracwell.fracops import apply_operator_naive, gagliardo_sum_naive
+from fracwell.fracops import apply_operator_naive, gagliardo_sum_naive, weight_table
 from fracwell.grids import GridError
 
 # 2-cell grid on (0,1): nodes {0.25, 0.75}, distance 0.5, h = 0.5.
@@ -144,3 +144,43 @@ def test_translation_invariance():
         assert np.allclose(apply_operator(GridField(base, vals), p, 0.5).values,
                            apply_operator(GridField(shifted, vals), p, 0.5).values,
                            rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 3.5])
+@pytest.mark.parametrize("grid", [build_grid(1.0, 20), build_grid([1.0, 1.0], [5, 5])],
+                         ids=["1d", "2d"])
+class TestFusedPass:
+    @staticmethod
+    def field(grid, p):
+        # rounded values repeat, so the difference table holds d = 0 pairs
+        # off the diagonal (the 1 < p < 2 power |d|^(p-1) is then 0^(p-1))
+        rng = np.random.default_rng(int(p * 11))
+        vals = np.round(rng.normal(size=grid.node_count), 1)
+        assert len(np.unique(vals)) < grid.node_count
+        return GridField(grid, vals)
+
+    def test_equals_separate_passes_exactly(self, p, grid):
+        u = self.field(grid, p)
+        Lu, A = operator_and_bracket(u, p, 0.4)
+        assert Lu.domain == grid
+        assert np.array_equal(Lu.values, apply_operator(u, p, 0.4).values)
+        assert A == bracket(u, p, 0.4) == gagliardo_sum(u, p, 0.4) / p
+
+    def test_equals_out_of_place_expressions_exactly(self, p, grid):
+        # the in-place buffers must reproduce the plain numpy expressions
+        # bit for bit, or the integrator's step sequence changes
+        u = self.field(grid, p)
+        W = weight_table(grid, p, 0.4)
+        du = u.values[:, None] - u.values[None, :]
+        h = grid.cell_measure
+        Lu, A = operator_and_bracket(u, p, 0.4)
+        assert A == float(np.sum(np.abs(du) ** p * W) * h ** 2) / p
+        assert np.array_equal(
+            Lu.values, 2.0 * h * np.sum(np.sign(du) * np.abs(du) ** (p - 1.0) * W, axis=1))
+
+    def test_matches_naive_loops(self, p, grid):
+        u = self.field(grid, p)
+        Lu, A = operator_and_bracket(u, p, 0.4)
+        assert A * p == pytest.approx(gagliardo_sum_naive(u, p, 0.4), rel=1e-12)
+        slow = apply_operator_naive(u, p, 0.4).values
+        assert np.all(np.abs(Lu.values - slow) <= 1e-12 * (1.0 + np.abs(slow)))
