@@ -47,13 +47,17 @@ def _setup(cfg: ExperimentConfig):
     return params, grid, Kp, Kq, u0, v0
 
 
-def _classification(cfg, params, grid, Kp, Kq, u0, v0):
+def _well_estimate(cfg, params, grid, Kp, Kq):
     wd = cfg.well_depth
-    est = variational.estimate_well_depth(
+    return variational.estimate_well_depth(
         grid, params, Kp, Kq,
         directions=int(wd["directions"]), seed=cfg.seed, modes=int(wd["modes"]),
         refine_iters=int(wd.get("refine_iters", 0)), variant=cfg.psi_variant,
     )
+
+
+def _classification(cfg, params, grid, Kp, Kq, u0, v0):
+    est = _well_estimate(cfg, params, grid, Kp, Kq)
     d_star = variational.compute_d_star(est.d, u0, v0, params)
     cls = variational.classify_initial_data(
         u0, v0, params, Kp, Kq, d_star, variant=cfg.psi_variant, d=est.d
@@ -74,13 +78,8 @@ def cmd_simulate(args) -> int:
     params, grid, Kp, Kq, u0, v0 = _setup(cfg)
     est, cls = _classification(cfg, params, grid, Kp, Kq, u0, v0)
 
-    integ = cfg.integrator
     controls = dynamics.IntegratorControls(
-        t_end=float(integ["t_end"]), dt_init=float(integ["dt_init"]),
-        dt_min=float(integ["dt_min"]), rtol=float(integ["rtol"]),
-        blowup_threshold=float(integ["blowup_threshold"]),
-        dt_max=None if integ.get("dt_max") is None else float(integ["dt_max"]),
-    )
+        **{k: None if v is None else float(v) for k, v in cfg.integrator.items()})
     trace = dynamics.integrate(u0, v0, params, Kp, Kq, controls)
 
     run_dir = cfg.run_dir()
@@ -194,12 +193,7 @@ def cmd_fibering(args) -> int:
 def cmd_well_depth(args) -> int:
     cfg = _load_config(args)
     params, grid, Kp, Kq, _, _ = _setup(cfg)
-    wd = cfg.well_depth
-    est = variational.estimate_well_depth(
-        grid, params, Kp, Kq, directions=int(wd["directions"]), seed=cfg.seed,
-        modes=int(wd["modes"]), refine_iters=int(wd.get("refine_iters", 0)),
-        variant=cfg.psi_variant,
-    )
+    est = _well_estimate(cfg, params, grid, Kp, Kq)
     run_dir = cfg.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
     artifacts.write_well_samples_csv(run_dir / "well_samples.csv", est)

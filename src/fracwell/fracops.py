@@ -19,14 +19,14 @@ makes the energy bookkeeping of the flow testable at machine precision rather
 than only in the mesh limit.
 
 One pass per field: ``operator_and_bracket`` builds the difference table
-d_ij = u_i - u_j and |d| once, in place, and returns both the operator and
-the bracket, so each right-hand side makes one dense pass per field.
-``apply_operator``, ``gagliardo_sum`` and ``bracket`` run the same pass with
-one of its two outputs switched off.  The bracket stays sum |d|^p W h^(2N)/p,
-with its own power of |d|, and is never taken from the duality shortcut
-inner(Lu, u)/p: the shortcut differs in the last bits, and the adaptive step
-controller amplifies ulp changes in K(A) into the step size.  Every output is
-therefore bit-identical to the separate passes.
+d_ij = u_i - u_j and |d| once, in a reused workspace, and returns both the
+operator and the bracket, so each right-hand side makes one dense pass per
+field.  ``apply_operator``, ``gagliardo_sum`` and ``bracket`` run the same
+pass with one of its two outputs switched off.  The bracket stays
+sum |d|^p W h^(2N)/p, with its own power of |d|, and is never taken from the
+duality shortcut inner(Lu, u)/p: the shortcut differs in the last bits, and
+the adaptive step controller amplifies ulp changes in K(A) into the step
+size.  Every output is therefore bit-identical to the separate passes.
 """
 
 from __future__ import annotations
@@ -69,24 +69,43 @@ def _signed_power(d: np.ndarray, p: float) -> np.ndarray:
     return np.sign(d) * np.abs(d) ** (p - 1.0)
 
 
+_workspace: list[np.ndarray] = []
+
+
+def _pass_buffers(m: int) -> list[np.ndarray]:
+    """The three M x M buffers every dense pass writes into.
+
+    One workspace is shared by all passes and reallocated only when the node
+    count changes, so at most one pass's peak is held.  Fresh buffers per
+    pass would let the allocator return and re-fault their pages on every
+    call.  Passes run one at a time: the workspace is not thread-safe.
+    """
+    if not _workspace or _workspace[0].shape[0] != m:
+        _workspace[:] = [np.empty((m, m)) for _ in range(3)]
+    return _workspace
+
+
 def _dense_pass(
     u: GridField, p: float, s: float, operator: bool, seminorm: bool
 ) -> tuple[np.ndarray | None, float | None]:
     """One pass over the difference table of u: (operator values, Gagliardo sum).
 
-    The table d = u_i - u_j and |d| are built once; every later step
-    overwrites a buffer in place, so a pass holds at most three M x M arrays
-    besides the shared weight table.  An output that is switched off is None.
+    The table d = u_i - u_j and |d| are built once in the shared workspace;
+    every later step overwrites a buffer in place.  An output that is
+    switched off is None; the returned values never alias the workspace.
     The arithmetic and its order match the textbook expressions
     sum |d|^p W h^(2N) and 2 h^N sum_j sign(d)|d|^(p-1) W, so every result is
     bit-identical to them.
     """
     W = weight_table(u.domain, p, s)
-    d = np.subtract.outer(u.values, u.values)
-    a = np.abs(d, out=None if operator else d)   # d itself is only needed for its sign
+    d, a, t = _pass_buffers(len(u.values))
+    if not operator:
+        a = t = d   # d itself is only needed for its sign
+    np.subtract.outer(u.values, u.values, out=d)
+    np.abs(d, out=a)
     gag = values = None
     if seminorm:
-        t = np.power(a, p, out=None if operator else a)
+        np.power(a, p, out=t)
         t *= W
         gag = float(np.sum(t) * u.domain.cell_measure ** 2)
     if operator:

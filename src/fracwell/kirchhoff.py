@@ -92,18 +92,7 @@ class KirchhoffFn:
 
 def k_eval(K: KirchhoffFn, z):
     """Evaluate K(z) for scalar or array z >= 0."""
-    zz = np.asarray(z, dtype=float)
-    if np.any(zz < 0):
-        raise KirchhoffError("Kirchhoff coefficient evaluated at negative argument")
-    if K.kind == "affine_power":
-        out = K.a + K.b * zz ** K.c
-    elif K.kind == "log1p":
-        out = np.log1p(zz)
-    else:
-        tz = np.asarray(K.table_z)
-        tk = np.asarray(K.table_k)
-        out = np.interp(zz, tz, tk)
-    return float(out) if np.isscalar(z) else out
+    return _evaluate(_k_values, K, z, "Kirchhoff coefficient")
 
 
 def k_antideriv(K: KirchhoffFn, z):
@@ -113,26 +102,48 @@ def k_antideriv(K: KirchhoffFn, z):
     piecewise-linear interpolant is integrated exactly (the table is the
     definition of K, so no quadrature error beyond the model itself).
     """
+    return _evaluate(_khat_values, K, z, "antiderivative")
+
+
+def _evaluate(values, K: KirchhoffFn, z, what: str):
+    # A float argument (np.float64 included) skips the array conversion and
+    # checks, which dominate a scalar call; it runs the same numpy ufuncs, so
+    # it returns bit for bit what a one-element array gives.
+    if isinstance(z, float):
+        if z < 0.0:
+            raise KirchhoffError(f"{what} evaluated at negative argument")
+        return float(values(K, z))
     zz = np.asarray(z, dtype=float)
     if np.any(zz < 0):
-        raise KirchhoffError("antiderivative evaluated at negative argument")
-    if K.kind == "affine_power":
-        out = K.a * zz + K.b * zz ** (K.c + 1.0) / (K.c + 1.0)
-    elif K.kind == "log1p":
-        out = (1.0 + zz) * np.log1p(zz) - zz
-    else:
-        tz = np.asarray(K.table_z)
-        tk = np.asarray(K.table_k)
-        # exact cumulative integral of the interpolant (constant-extrapolated
-        # below the first and above the last table node)
-        seg = np.concatenate([[0.0], np.cumsum(0.5 * (tk[1:] + tk[:-1]) * np.diff(tz))])
-        head = tk[0] * tz[0]
-        kz = np.interp(zz, tz, tk)
-        idx = np.clip(np.searchsorted(tz, zz, side="right") - 1, 0, len(tz) - 1)
-        out = head + seg[idx] + 0.5 * (tk[idx] + kz) * (np.minimum(zz, tz[-1]) - tz[idx])
-        out = np.where(zz <= tz[0], tk[0] * zz, out)
-        out = np.where(zz > tz[-1], head + seg[-1] + tk[-1] * (zz - tz[-1]), out)
+        raise KirchhoffError(f"{what} evaluated at negative argument")
+    out = values(K, zz)
     return float(out) if np.isscalar(z) else out
+
+
+def _k_values(K: KirchhoffFn, z):
+    if K.kind == "affine_power":
+        return K.a + K.b * np.power(z, K.c)
+    if K.kind == "log1p":
+        return np.log1p(z)
+    return np.interp(z, np.asarray(K.table_z), np.asarray(K.table_k))
+
+
+def _khat_values(K: KirchhoffFn, z):
+    if K.kind == "affine_power":
+        return K.a * z + K.b * np.power(z, K.c + 1.0) / (K.c + 1.0)
+    if K.kind == "log1p":
+        return (1.0 + z) * np.log1p(z) - z
+    tz = np.asarray(K.table_z)
+    tk = np.asarray(K.table_k)
+    # exact cumulative integral of the interpolant (constant-extrapolated
+    # below the first and above the last table node)
+    seg = np.concatenate([[0.0], np.cumsum(0.5 * (tk[1:] + tk[:-1]) * np.diff(tz))])
+    head = tk[0] * tz[0]
+    kz = np.interp(z, tz, tk)
+    idx = np.clip(np.searchsorted(tz, z, side="right") - 1, 0, len(tz) - 1)
+    out = head + seg[idx] + 0.5 * (tk[idx] + kz) * (np.minimum(z, tz[-1]) - tz[idx])
+    out = np.where(z <= tz[0], tk[0] * z, out)
+    return np.where(z > tz[-1], head + seg[-1] + tk[-1] * (z - tz[-1]), out)
 
 
 @dataclass(frozen=True)

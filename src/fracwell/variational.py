@@ -22,12 +22,25 @@ The well depth d is the infimum of the energy over the Nehari set and is
 estimated from above by sampling direction pairs, projecting each onto the
 Nehari set along its ray, and taking the running minimum; it is an upper
 estimate and is labeled as such wherever it is consumed.
+
+The projection runs on arrays: all sampled rays are stacked into one batch
+``FiberingRay`` and expanded and bisected together, each ray under the same
+rules as a lone ray (a single ``find_epsilon_star`` is a batch of one).  The
+results are bit-identical to a scalar bisection per ray.  That needs the
+powers of eps to go through libm ``pow``, element by element, as Python's
+float ``**`` does for a lone ray: numpy's vectorised power differs from libm
+by an ulp on about 5 % of arguments, and a flipped sign test near the root
+would move eps* and the iteration count.  Everything else (numpy's ``log``,
+the Kirchhoff coefficients' numpy power, the four basic operations) is
+elementwise and agrees bit for bit between arrays and scalars.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -153,6 +166,17 @@ def nehari_psi(u, v, params, K_p, K_q, variant: str = "consistent") -> float:
 # fibering ray
 # ---------------------------------------------------------------------------
 
+def _libm_pow(eps, e: float):
+    """eps ** e, through libm ``pow`` element by element when eps is an array."""
+    if np.ndim(eps) == 0:
+        return eps ** e
+    return np.array([x ** e for x in eps.tolist()])
+
+
+_RAY_SUMS = ("bracket_u", "bracket_v", "coupling_mass", "log_coupling",
+             "coupling_high", "log_coupling_high")
+
+
 @dataclass(frozen=True)
 class FiberingRay:
     """Scalar reduction of (u, v) enabling O(1) evaluation along eps -> (eps u, eps v).
@@ -160,6 +184,10 @@ class FiberingRay:
     All functionals are homogeneous along the ray, so the pairwise sums are
     computed once and rescaled analytically; values agree with direct
     evaluation at the scaled fields to floating-point homogeneity accuracy.
+
+    The sums may also be equal-length arrays (see ``stack``): the object is
+    then a batch of rays sharing params and coefficients, and each method
+    takes an eps array of that length and evaluates ray i at eps[i].
     """
 
     params: ModelParams
@@ -182,19 +210,30 @@ class FiberingRay:
             coupling_high=rep.coupling_high, log_coupling_high=rep.log_coupling_high,
         )
 
+    @classmethod
+    def stack(cls, rays: Sequence["FiberingRay"]) -> "FiberingRay":
+        """One batch of the given rays, which share params and coefficients."""
+        return dataclasses.replace(
+            rays[0], **{f: np.array([getattr(r, f) for r in rays]) for f in _RAY_SUMS})
+
+    def take(self, idx) -> "FiberingRay":
+        """The sub-batch of the rays at the given indices."""
+        return dataclasses.replace(self, **{f: getattr(self, f)[idx] for f in _RAY_SUMS})
+
     def scaled_brackets(self, eps):
         """Brackets of the scaled pair; eps may be a scalar or an array."""
         p, q = self.params.p, self.params.q
-        return eps ** p * self.bracket_u, eps ** q * self.bracket_v
+        return _libm_pow(eps, p) * self.bracket_u, _libm_pow(eps, q) * self.bracket_v
 
     def log_coupling_at(self, eps):
         sig = self.params.sigma
-        return eps ** (2 * sig) * (self.log_coupling + 2.0 * np.log(eps) * self.coupling_mass)
+        return _libm_pow(eps, 2 * sig) * (
+            self.log_coupling + 2.0 * np.log(eps) * self.coupling_mass)
 
     def phi(self, eps):
         p, q, sig = self.params.p, self.params.q, self.params.sigma
         A, B = self.scaled_brackets(eps)
-        c = eps ** (2 * sig) * self.coupling_mass
+        c = _libm_pow(eps, 2 * sig) * self.coupling_mass
         return (
             k_antideriv(self.K_p, A) / p
             + k_antideriv(self.K_q, B) / q
@@ -209,7 +248,7 @@ class FiberingRay:
     def psi_printed(self, eps):
         p, q, sig = self.params.p, self.params.q, self.params.sigma
         A, B = self.scaled_brackets(eps)
-        high = eps ** (2 * sig + 2) * (
+        high = _libm_pow(eps, 2 * sig + 2) * (
             self.log_coupling_high + 2.0 * np.log(eps) * self.coupling_high
         )
         return k_eval(self.K_p, A) * p * A + k_eval(self.K_q, B) * q * B - 2.0 * high
@@ -290,41 +329,63 @@ def find_epsilon_star(
     if u.max_abs() == 0.0 and v.max_abs() == 0.0:
         raise BracketingError("fibering root not bracketed: zero pair")
     ray = FiberingRay.from_pair(u, v, params, K_p, K_q)
-    return _epsilon_star_on_ray(ray, variant, eps_min, eps_max, rel_tol)
+    return _epsilon_star(ray, variant, eps_min, eps_max, rel_tol)
 
 
-def _epsilon_star_on_ray(ray, variant, eps_min=1e-8, eps_max=1e8, rel_tol=1e-10) -> EpsilonStar:
-    f = lambda e: ray.psi(e, variant)
-    f1 = f(1.0)
-    iters = 0
-    if f1 == 0.0:
-        return EpsilonStar(1.0, 0.0, ray.psi_scale(1.0), 0)
-    if f1 > 0.0:
-        lo, hi = 1.0, 2.0
-        while f(hi) > 0.0:
-            lo, hi = hi, hi * 2.0
-            iters += 1
-            if hi > eps_max:
-                raise BracketingError("fibering root not bracketed above")
-    else:
-        lo, hi = 0.5, 1.0
-        while f(lo) <= 0.0:
-            lo, hi = lo * 0.5, lo
-            iters += 1
-            if lo < eps_min:
-                raise BracketingError("fibering root not bracketed below")
-    # invariant: f(lo) > 0 >= f(hi); bisect in log space
-    while hi / lo - 1.0 > rel_tol:
-        mid = math.sqrt(lo * hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-        if iters > 400:
-            break
-    star = math.sqrt(lo * hi)
-    return EpsilonStar(star, f(star), ray.psi_scale(star), iters)
+def _epsilon_star(ray, variant, eps_min=1e-8, eps_max=1e8, rel_tol=1e-10) -> EpsilonStar:
+    """``_project_rays`` on a batch of one, with the residual at eps*."""
+    star, iters, side = _project_rays(FiberingRay.stack([ray]), variant,
+                                      eps_min, eps_max, rel_tol)
+    if side[0]:
+        raise BracketingError(
+            f"fibering root not bracketed {'above' if side[0] > 0 else 'below'}")
+    value = float(star[0])
+    return EpsilonStar(value, ray.psi(value, variant), ray.psi_scale(value), int(iters[0]))
+
+
+def _project_rays(ray: FiberingRay, variant: str, eps_min: float = 1e-8,
+                  eps_max: float = 1e8, rel_tol: float = 1e-10):
+    """Critical scales of a batch of rays: arrays (eps*, iterations, side).
+
+    Every ray follows the rules of a lone bisection.  A ray with psi(1) = 0
+    has eps* = 1 after 0 iterations.  Otherwise the bracket [lo, hi] starts
+    at [1, 2] when psi(1) > 0 and doubles while psi(hi) > 0, or starts at
+    [1/2, 1] and halves while psi(lo) <= 0; once hi > eps_max (lo < eps_min)
+    the ray stops with ``side`` +1 (-1), meaning no root was bracketed above
+    (below), and its eps* is meaningless.  A bracketed ray is then bisected
+    in log eps, keeping psi(lo) > 0 >= psi(hi), until hi/lo - 1 <= rel_tol
+    or its iteration count passes 400, and eps* = sqrt(lo hi).  Each
+    expansion and bisection step counts one iteration.  The rays still
+    moving are kept as an index array; each step evaluates psi once on all
+    of them.
+    """
+    n = len(ray.bracket_u)
+    f1 = ray.psi(np.ones(n), variant)
+    up = f1 > 0.0
+    lo = np.where(up, 1.0, 0.5)     # hi = 2 lo, exactly, until the bisection
+    iters = np.zeros(n, dtype=int)
+    side = np.zeros(n, dtype=int)
+    act = np.flatnonzero(f1 != 0.0)
+    while act.size:
+        f = ray.take(act).psi(np.where(up[act], 2.0 * lo[act], lo[act]), variant)
+        act = act[np.where(up[act], f > 0.0, f <= 0.0)]
+        lo[act] *= np.where(up[act], 2.0, 0.5)
+        iters[act] += 1
+        out = np.where(up[act], 2.0 * lo[act] > eps_max, lo[act] < eps_min)
+        side[act[out]] = np.where(up[act[out]], 1, -1)
+        act = act[~out]
+    hi = 2.0 * lo
+    act = np.flatnonzero((f1 != 0.0) & (side == 0))
+    act = act[hi[act] / lo[act] - 1.0 > rel_tol]
+    while act.size:
+        mid = np.sqrt(lo[act] * hi[act])
+        pos = ray.take(act).psi(mid, variant) > 0.0
+        lo[act] = np.where(pos, mid, lo[act])
+        hi[act] = np.where(pos, hi[act], mid)
+        iters[act] += 1
+        act = act[(iters[act] <= 400) & (hi[act] / lo[act] - 1.0 > rel_tol)]
+    star = np.where(f1 == 0.0, 1.0, np.sqrt(lo * hi))
+    return star, iters, side
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +422,31 @@ class WellEstimate:
         return len(self.samples)
 
 
+@lru_cache(maxsize=16)
+def _sine_modes(grid: GridDomain, modes: int) -> tuple[np.ndarray, ...]:
+    """Per axis a, the rows sin(k pi x_a / extent_a) for k = 1..modes (read-only)."""
+    x = grid.coords
+    tables = tuple(
+        np.array([np.sin(k * np.pi * x[:, a] / ext) for k in range(1, modes + 1)])
+        for a, ext in enumerate(grid.extents)
+    )
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _random_smooth_field(grid: GridDomain, rng: np.random.Generator, modes: int) -> GridField:
     """Random superposition of homogeneous-boundary modes with decaying weights."""
-    x = grid.coords
     vals = np.zeros(grid.node_count)
     if grid.ndim == 1:
-        ext = grid.extents[0]
+        (sx,) = _sine_modes(grid, modes)
         for k in range(1, modes + 1):
-            vals += rng.normal() / k ** 2 * np.sin(k * np.pi * x[:, 0] / ext)
+            vals += rng.normal() / k ** 2 * sx[k - 1]
     else:
-        ex, ey = grid.extents
+        sx, sy = _sine_modes(grid, modes)
         for k in range(1, modes + 1):
             for l in range(1, modes + 1):
-                vals += rng.normal() / (k ** 2 + l ** 2) * np.sin(
-                    k * np.pi * x[:, 0] / ex
-                ) * np.sin(l * np.pi * x[:, 1] / ey)
+                vals += rng.normal() / (k ** 2 + l ** 2) * sx[k - 1] * sy[l - 1]
     return GridField(grid, vals)
 
 
@@ -425,26 +496,23 @@ def estimate_well_depth(
     """
     if not params.well_regime:
         raise ParamError("well depth needs admissible (well-regime) parameters")
+    drawn = list(direction_pairs(grid, directions, seed, modes, include_presets))
+    found = np.zeros(0, dtype=int)
+    if drawn:
+        rays = FiberingRay.stack([FiberingRay.from_pair(pair.u, pair.v, params, K_p, K_q)
+                                  for _, pair in drawn])
+        star, _, side = _project_rays(rays, variant)
+        found = np.flatnonzero(side == 0)
+    if not found.size:
+        raise BracketingError("no Nehari point found in any sampled direction")
     samples: list[WellSample] = []
-    fails = 0
-    attempted = 0
     best_pair = None
     best_val = math.inf
-    best_star = None
-    for label, pair in direction_pairs(grid, directions, seed, modes, include_presets):
-        attempted += 1
-        ray = FiberingRay.from_pair(pair.u, pair.v, params, K_p, K_q)
-        try:
-            star = _epsilon_star_on_ray(ray, variant)
-        except BracketingError:
-            fails += 1
-            continue
-        val = ray.phi(star.value)
-        samples.append(WellSample(label, star.value, val))
+    for i, val in zip(found.tolist(), rays.take(found).phi(star[found])):
+        label, pair = drawn[i]
+        samples.append(WellSample(label, float(star[i]), val))
         if val < best_val:
-            best_val, best_pair, best_star = val, pair, star
-    if not samples:
-        raise BracketingError("no Nehari point found in any sampled direction")
+            best_val, best_pair = val, pair
 
     refine_done = 0
     if refine_iters > 0 and best_pair is not None:
@@ -461,7 +529,7 @@ def estimate_well_depth(
             pair_c = FieldPair(GridField(grid, cand_u), GridField(grid, cand_v))
             ray_c = FiberingRay.from_pair(pair_c.u, pair_c.v, params, K_p, K_q)
             try:
-                star_c = _epsilon_star_on_ray(ray_c, variant)
+                star_c = _epsilon_star(ray_c, variant)
             except BracketingError:
                 continue
             val_c = ray_c.phi(star_c.value)
@@ -475,8 +543,8 @@ def estimate_well_depth(
     return WellEstimate(
         d=best_val,
         samples=tuple(samples),
-        attempted=attempted,
-        bracketing_failures=fails,
+        attempted=len(drawn),
+        bracketing_failures=len(drawn) - found.size,
         best_pair=best_pair,
         seed=seed,
         refine_iterations=refine_done,

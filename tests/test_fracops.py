@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fracwell import fracops
 from fracwell import (
     GridField, apply_operator, bilinear_form, bracket, build_grid,
     gagliardo_sum, inner, operator_and_bracket, sample_field,
@@ -184,3 +186,53 @@ class TestFusedPass:
         assert A * p == pytest.approx(gagliardo_sum_naive(u, p, 0.4), rel=1e-12)
         slow = apply_operator_naive(u, p, 0.4).values
         assert np.all(np.abs(Lu.values - slow) <= 1e-12 * (1.0 + np.abs(slow)))
+
+
+SMALL_GRIDS = [build_grid(1.0, m) for m in range(2, 13)] + [
+    build_grid([1.0, 1.0], [2, 2]), build_grid([1.0, 1.0], [3, 3]),
+    build_grid([1.5, 2.0], [3, 4])]
+
+
+@st.composite
+def small_fields(draw):
+    grid = draw(st.sampled_from(SMALL_GRIDS))
+    values = draw(st.lists(
+        st.floats(-10.0, 10.0, allow_subnormal=False) | st.sampled_from([0.0, 1.0]),
+        min_size=grid.node_count, max_size=grid.node_count))
+    return GridField(grid, np.array(values))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(u=small_fields(), p=st.floats(1.0, 4.0, exclude_min=True), s=st.floats(0.05, 0.95))
+def test_fused_pass_matches_naive_loops_property(u, p, s):
+    # p in (1, 4], 1 < p < 2 included; relative error <= 1e-12, the operator's
+    # measured against the sum of its terms' magnitudes (rows may cancel)
+    Lu, A = operator_and_bracket(u, p, s)
+    gag = gagliardo_sum_naive(u, p, s)
+    assert abs(A * p - gag) <= 1e-12 * gag
+    du = np.abs(np.subtract.outer(u.values, u.values))
+    W = weight_table(u.domain, p, s)
+    scale = 2.0 * u.domain.cell_measure * np.sum(du ** (p - 1.0) * W, axis=1)
+    slow = apply_operator_naive(u, p, s).values
+    assert np.all(np.abs(Lu.values - slow) <= 1e-12 * scale)
+
+
+def test_workspace_reuse_leaves_earlier_results_alone():
+    rng = np.random.default_rng(4)
+    g16, g24 = build_grid(1.0, 16), build_grid(1.0, 24)
+    u, w = (GridField(g16, rng.normal(size=16)) for _ in range(2))
+    Lu, A = operator_and_bracket(u, 3.0, 0.5)
+    kept = Lu.values.copy()
+    buffers = list(fracops._workspace)
+    Lw, B = operator_and_bracket(w, 3.0, 0.5)
+    assert np.array_equal(Lu.values, kept) and not np.array_equal(Lw.values, kept)
+    assert all(a is b for a, b in zip(fracops._workspace, buffers))   # same M: reused
+    z = GridField(g24, rng.normal(size=24))
+    Lz, C = operator_and_bracket(z, 2.5, 0.5)                          # new M: reallocated
+    assert fracops._workspace[0].shape == (24, 24)
+    assert np.all(np.abs(Lz.values - apply_operator_naive(z, 2.5, 0.5).values)
+                  <= 1e-12 * (1.0 + np.abs(Lz.values)))
+    assert C * 2.5 == pytest.approx(gagliardo_sum_naive(z, 2.5, 0.5), rel=1e-12)
+    again, A2 = operator_and_bracket(u, 3.0, 0.5)
+    assert np.array_equal(again.values, kept) and A2 == A
+    assert np.array_equal(Lu.values, kept)

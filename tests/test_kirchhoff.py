@@ -32,6 +32,32 @@ class TestEvaluation:
             KirchhoffFn(kind="quadratic")
 
 
+@pytest.mark.parametrize("K", [
+    KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25),
+    KirchhoffFn.affine_power(0.5, 2.0, 3.0, beta=3.0),
+    KirchhoffFn.log1p(beta=1.0),
+    KirchhoffFn.from_table([0.1, 0.5, 2.0, 10.0], [1.0, 1.2, 2.0, 3.0], beta=0.5),
+], ids=["affine_quarter", "affine_cubic", "log1p", "table"])
+class TestScalarFastPath:
+    """A float argument skips the array checks; its result must still be the
+    array path's bit for bit, since the fibering ray mixes both."""
+
+    Z = np.concatenate([[0.0], np.logspace(-12.0, 12.0, 2001)])
+
+    @pytest.mark.parametrize("fn", [k_eval, k_antideriv])
+    def test_bitwise_equal_to_array_path(self, K, fn):
+        arr = fn(K, self.Z)
+        assert [fn(K, z) for z in self.Z.tolist()] == arr.tolist()
+        assert [fn(K, z) for z in self.Z] == arr.tolist()        # np.float64
+        assert all(type(fn(K, z)) is float for z in (0.3, np.float64(0.3)))
+
+    @pytest.mark.parametrize("fn", [k_eval, k_antideriv])
+    def test_negative_float_rejected(self, K, fn):
+        for z in (-1e-300, np.float64(-2.0)):
+            with pytest.raises(KirchhoffError, match="negative argument"):
+                fn(K, z)
+
+
 class TestAntiderivative:
     def test_affine_closed_form(self):
         K = KirchhoffFn.affine_power(1.0, 1.0, 1.0)
