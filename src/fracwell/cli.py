@@ -151,15 +151,14 @@ def _emit_plots(run_dir, cfg, params, Kp, Kq, u0, v0, trace):
 
 def _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0, eps_lo, eps_hi, count):
     eps_grid = np.exp(np.linspace(math.log(eps_lo), math.log(eps_hi), count))
-    rows = variational.fibering_scan(u0, v0, params, Kp, Kq, eps_grid)
+    # one ray of the pair serves the scan, eps* and its mark
+    ray, rows = variational._scan_pair(u0, v0, params, Kp, Kq, eps_grid)
     artifacts.write_fibering_csv(run_dir / "fibering.csv", rows)
     marks = []
     note = ""
     try:
-        star = variational.find_epsilon_star(u0, v0, params, Kp, Kq,
-                                             variant=cfg.psi_variant)
+        star = variational._epsilon_star(ray, cfg.psi_variant)
         if eps_lo <= star.value <= eps_hi:
-            ray = variational.FiberingRay.from_pair(u0, v0, params, Kp, Kq)
             marks.append((star.value, ray.phi(star.value), "eps*"))
         else:
             note = " (eps* outside scanned range)"

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracops import operator_and_bracket
+from .fracops import pair_pass
 from .grids import GridField, inner
 from .kirchhoff import KirchhoffFn, k_eval
 from .params import ModelParams, ParamError
@@ -51,14 +51,14 @@ def rhs(
     exact; see the module docstring.
     """
     p, q, sig, s = params.p, params.q, params.sigma, params.s
-    Lu, A = operator_and_bracket(u, p, s)
-    Lv, B = operator_and_bracket(v, q, s)
+    (Lu, gag_u), (Lv, gag_v) = pair_pass(u, p, v, q, s, operator=True)
+    A, B = gag_u / p, gag_v / q
     uu, vv = u.values, v.values
     lg, _ = _masked_log_product(uu, vv)
     f1 = np.abs(vv) ** sig * np.sign(uu) * np.abs(uu) ** (sig - 1.0) * lg
     f2 = np.abs(uu) ** sig * np.sign(vv) * np.abs(vv) ** (sig - 1.0) * lg
-    du = -(k_eval(K_p, A) / p) * Lu.values + f1
-    dv = -(k_eval(K_q, B) / q) * Lv.values + f2
+    du = -(k_eval(K_p, A) / p) * Lu + f1
+    dv = -(k_eval(K_q, B) / q) * Lv + f2
     return GridField(u.domain, du), GridField(v.domain, dv)
 
 

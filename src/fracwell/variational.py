@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracops import bracket, gagliardo_sum
+from .fracops import gagliardo_sum, pair_pass
 from .grids import FieldPair, GridDomain, GridField, GridError, discrete_norm, sample_field
 from .kirchhoff import KirchhoffFn, k_antideriv, k_eval
 from .params import ModelParams, ParamError
@@ -77,6 +77,12 @@ def coupling_mass(u: GridField, v: GridField, sigma: float) -> float:
 
 def log_coupling(u: GridField, v: GridField, sigma: float) -> float:
     """integral of |u|^sigma |v|^sigma log|uv|, with 0 where u v = 0."""
+    return _log_couplings(u, v, sigma)[0]
+
+
+def _log_couplings(u: GridField, v: GridField, sigma: float) -> tuple[float, float, float]:
+    """(integral |u|^sigma |v|^sigma log|uv|, integral |uv|^(sigma+1),
+    integral |uv|^(sigma+1) log|uv|), from one masked log."""
     if u.domain != v.domain:
         raise GridError("coupling integrals need a shared domain")
     if sigma <= 1.0:
@@ -84,17 +90,24 @@ def log_coupling(u: GridField, v: GridField, sigma: float) -> float:
     lg, mask = _masked_log_product(u.values, v.values)
     hN = u.domain.cell_measure
     vals = np.abs(u.values[mask]) ** sigma * np.abs(v.values[mask]) ** sigma * lg[mask]
-    return float(np.sum(vals) * hN)
-
-
-def _coupling_high(u: GridField, v: GridField, sigma: float) -> tuple[float, float]:
-    """(integral |uv|^(sigma+1), integral |uv|^(sigma+1) log|uv|)."""
-    lg, mask = _masked_log_product(u.values, v.values)
-    hN = u.domain.cell_measure
     pw = (np.abs(u.values[mask]) * np.abs(v.values[mask])) ** (sigma + 1.0)
-    return float(np.sum((np.abs(u.values) * np.abs(v.values)) ** (sigma + 1.0)) * hN), float(
-        np.sum(pw * lg[mask]) * hN
-    )
+    return (float(np.sum(vals) * hN),
+            float(np.sum((np.abs(u.values) * np.abs(v.values)) ** (sigma + 1.0)) * hN),
+            float(np.sum(pw * lg[mask]) * hN))
+
+
+def _ray_sums(u: GridField, v: GridField, params: ModelParams) -> dict[str, float]:
+    """The six sums a ``FiberingRay`` holds, by field name.
+
+    Both brackets come from one pair pass, the three log couplings from one
+    masked log; each value is bit-identical to its public function.
+    """
+    p, q, sig = params.p, params.q, params.sigma
+    (_, gag_u), (_, gag_v) = pair_pass(u, p, v, q, params.s, operator=False)
+    c0 = coupling_mass(u, v, sig)
+    l0, chi, lchi = _log_couplings(u, v, sig)
+    return dict(bracket_u=gag_u / p, bracket_v=gag_v / q, coupling_mass=c0,
+                log_coupling=l0, coupling_high=chi, log_coupling_high=lchi)
 
 
 # ---------------------------------------------------------------------------
@@ -134,22 +147,18 @@ def energy_report(
 ) -> EnergyReport:
     """Evaluate the energy, both Nehari variants, and all their ingredients."""
     p, q, sig = params.p, params.q, params.sigma
-    A = bracket(u, p, params.s)
-    B = bracket(v, q, params.s)
+    sums = _ray_sums(u, v, params)
+    A, B, l0 = sums["bracket_u"], sums["bracket_v"], sums["log_coupling"]
     gag_u, gag_v = p * A, q * B
     khat_u = k_antideriv(K_p, A)
     khat_v = k_antideriv(K_q, B)
-    c0 = coupling_mass(u, v, sig)
-    l0 = log_coupling(u, v, sig)
-    chi, lchi = _coupling_high(u, v, sig)
-    phi = khat_u / p + khat_v / q + c0 / sig ** 2 - l0 / sig
+    phi = khat_u / p + khat_v / q + sums["coupling_mass"] / sig ** 2 - l0 / sig
     psi_c = k_eval(K_p, A) * A + k_eval(K_q, B) * B - 2.0 * l0
-    psi_pr = k_eval(K_p, A) * gag_u + k_eval(K_q, B) * gag_v - 2.0 * lchi
+    psi_pr = (k_eval(K_p, A) * gag_u + k_eval(K_q, B) * gag_v
+              - 2.0 * sums["log_coupling_high"])
     return EnergyReport(
-        bracket_u=A, bracket_v=B, gagliardo_u=gag_u, gagliardo_v=gag_v,
-        khat_u=khat_u, khat_v=khat_v, coupling_mass=c0, log_coupling=l0,
-        coupling_high=chi, log_coupling_high=lchi, phi=phi,
-        psi_consistent=psi_c, psi_printed=psi_pr,
+        **sums, gagliardo_u=gag_u, gagliardo_v=gag_v, khat_u=khat_u, khat_v=khat_v,
+        phi=phi, psi_consistent=psi_c, psi_printed=psi_pr,
         l2_u=discrete_norm(u, 2.0), l2_v=discrete_norm(v, 2.0),
     )
 
@@ -202,13 +211,7 @@ class FiberingRay:
 
     @classmethod
     def from_pair(cls, u, v, params, K_p, K_q) -> "FiberingRay":
-        rep = energy_report(u, v, params, K_p, K_q)
-        return cls(
-            params=params, K_p=K_p, K_q=K_q,
-            bracket_u=rep.bracket_u, bracket_v=rep.bracket_v,
-            coupling_mass=rep.coupling_mass, log_coupling=rep.log_coupling,
-            coupling_high=rep.coupling_high, log_coupling_high=rep.log_coupling_high,
-        )
+        return cls(params=params, K_p=K_p, K_q=K_q, **_ray_sums(u, v, params))
 
     @classmethod
     def stack(cls, rays: Sequence["FiberingRay"]) -> "FiberingRay":
@@ -283,6 +286,11 @@ def fibering_scan(
     interpolation is performed.  The grid must be positive and sorted
     ascending.
     """
+    return _scan_pair(u, v, params, K_p, K_q, eps_grid)[1]
+
+
+def _scan_pair(u, v, params, K_p, K_q, eps_grid) -> tuple[FiberingRay, list[dict]]:
+    """``fibering_scan``, which also returns the ray it evaluated."""
     eps_arr = np.asarray(list(eps_grid), dtype=float)
     if eps_arr.size == 0:
         raise ValueError("empty eps grid")
@@ -291,7 +299,7 @@ def fibering_scan(
     if u.max_abs() == 0.0 and v.max_abs() == 0.0:
         raise ValueError("fibering scan needs a nonzero pair")
     ray = FiberingRay.from_pair(u, v, params, K_p, K_q)
-    return [
+    return ray, [
         dict(eps=float(eps), phi=float(ray.phi(eps)),
              psi_consistent=float(ray.psi_consistent(eps)),
              psi_printed=float(ray.psi_printed(eps)))
@@ -757,8 +765,9 @@ def log_coupling_bound_gap(
     check based on it should be skipped.
     """
     p, q, sig, s = params.p, params.q, params.sigma, params.s
-    su = gagliardo_sum(u, p, s) ** (1.0 / p)
-    sv = gagliardo_sum(v, q, s) ** (1.0 / q)
+    (_, gag_u), (_, gag_v) = pair_pass(u, p, v, q, s, operator=False)
+    su = gag_u ** (1.0 / p)
+    sv = gag_v ** (1.0 / q)
     if su <= 0.0 or sv <= 0.0:
         raise ValueError("log-coupling bound needs nonzero seminorms")
     lhs = log_coupling(u, v, sig)

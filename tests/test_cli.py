@@ -1,9 +1,12 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from fracwell import fracops, variational
 from fracwell.cli import main
 from fracwell.config import ConfigError, ExperimentConfig
 
@@ -171,6 +174,23 @@ class TestSimulateCommand:
         assert first == second
 
 
+@pytest.mark.parametrize("name", ["decay.json", "kirchhoff_decay.json"])
+def test_pair_pass_worker_leaves_artifacts_byte_identical(tmp_path, monkeypatch, capsys,
+                                                          name):
+    # v's dense passes on the worker thread at every M, then never
+    config = Path(__file__).resolve().parents[1] / "configs" / name
+    files = {}
+    for label, threshold in (("threaded", 0), ("serial", math.inf)):
+        monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / label)]) == 0
+        run_dir = tmp_path / label / "run-seed1"
+        files[label] = {f: (run_dir / f).read_bytes() for f in (
+            "trace.csv", "summary.json", "outcome.json", "fibering.csv")}
+    assert fracops._worker is not None
+    assert files["threaded"] == files["serial"]
+
+
 class TestFiberingCommand:
     def test_scan_artifacts_with_marker(self, tmp_path, capsys):
         path = make_config(tmp_path)
@@ -181,6 +201,15 @@ class TestFiberingCommand:
         assert len(lines) == 122
         svg = (run_dir / "fibering.svg").read_text()
         assert "eps*" in svg
+
+    def test_one_ray_serves_scan_star_and_mark(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = variational._ray_sums
+        monkeypatch.setattr(variational, "_ray_sums",
+                            lambda *a: built.append(a) or real(*a))
+        assert main(["fibering", "--config", str(make_config(tmp_path))]) == 0
+        assert len(built) == 1
+        assert "eps*" in (tmp_path / "out" / "run-seed3" / "fibering.svg").read_text()
 
     def test_range_missing_star_still_emits(self, tmp_path, capsys):
         path = make_config(tmp_path)

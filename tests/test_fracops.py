@@ -1,3 +1,9 @@
+import os
+import signal
+import sys
+import threading
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,16 +229,169 @@ def test_workspace_reuse_leaves_earlier_results_alone():
     u, w = (GridField(g16, rng.normal(size=16)) for _ in range(2))
     Lu, A = operator_and_bracket(u, 3.0, 0.5)
     kept = Lu.values.copy()
-    buffers = list(fracops._workspace)
+    buffers = list(fracops._local.buffers)
+    assert len(buffers) == 2
     Lw, B = operator_and_bracket(w, 3.0, 0.5)
     assert np.array_equal(Lu.values, kept) and not np.array_equal(Lw.values, kept)
-    assert all(a is b for a, b in zip(fracops._workspace, buffers))   # same M: reused
+    assert all(a is b for a, b in zip(fracops._local.buffers, buffers))   # same M: reused
     z = GridField(g24, rng.normal(size=24))
     Lz, C = operator_and_bracket(z, 2.5, 0.5)                          # new M: reallocated
-    assert fracops._workspace[0].shape == (24, 24)
+    assert fracops._local.buffers[0].shape == (24, 24)
     assert np.all(np.abs(Lz.values - apply_operator_naive(z, 2.5, 0.5).values)
                   <= 1e-12 * (1.0 + np.abs(Lz.values)))
     assert C * 2.5 == pytest.approx(gagliardo_sum_naive(z, 2.5, 0.5), rel=1e-12)
     again, A2 = operator_and_bracket(u, 3.0, 0.5)
     assert np.array_equal(again.values, kept) and A2 == A
     assert np.array_equal(Lu.values, kept)
+    # another thread passes in a workspace of its own and leaves this one alone
+    mine = list(fracops._local.buffers)
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(
+        (operator_and_bracket(u, 3.0, 0.5), list(fracops._local.buffers))))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    (other, A3), theirs = seen[0]
+    assert np.array_equal(other.values, kept) and A3 == A
+    assert not any(a is b for a in theirs for b in mine)
+    assert all(a is b for a, b in zip(fracops._local.buffers, mine))
+
+
+# ---------------------------------------------------------------------------
+# pair pass: v's pass on the worker thread
+# ---------------------------------------------------------------------------
+
+def _bits(result):
+    """The exact bytes of one ``_dense_pass`` result (signed zeros included)."""
+    values, gag = result
+    return (None if values is None else values.tobytes()), np.float64(gag).tobytes()
+
+
+def _pair(grid, seed):
+    rng = np.random.default_rng(seed)
+    return (GridField(grid, rng.normal(size=grid.node_count)),
+            GridField(grid, rng.normal(size=grid.node_count)))
+
+
+@pytest.mark.parametrize("operator", [True, False])
+@pytest.mark.parametrize("grid, threshold, threaded", [
+    (build_grid(1.0, 8), 8, True),
+    (build_grid([1.0, 2.0], [2, 4]), 8, True),
+    (build_grid(1.0, 256), 257, False),
+    (build_grid([1.0, 1.0], [16, 16]), 257, False),
+], ids=["1d-M8-forced", "2d-M8-forced", "1d-M256-serial", "2d-M256-serial"])
+def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold,
+                                                     threaded, operator):
+    u, v = _pair(grid, grid.node_count)
+    expected = (fracops._dense_pass(u, 3.0, 0.4, operator, True),
+                fracops._dense_pass(v, 3.5, 0.4, operator, True))
+    ran_on = []
+    serial_pass = fracops._dense_pass
+
+    def recording_pass(w, *args):
+        ran_on.append((w is u, threading.get_ident()))
+        return serial_pass(w, *args)
+
+    monkeypatch.setattr(fracops, "_dense_pass", recording_pass)
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
+    ru, rv = fracops.pair_pass(u, 3.0, v, 3.5, 0.4, operator)
+    assert (_bits(ru), _bits(rv)) == (_bits(expected[0]), _bits(expected[1]))
+    threads = dict(ran_on)
+    assert threads[True] == threading.get_ident()                 # u on the caller
+    assert (threads[False] != threading.get_ident()) == threaded  # v on the worker
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 3.0), (3.0, 2.0)])
+def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
+    # -0.0 - 0.0 = -0.0: the operator's copysign term may carry the sign of
+    # that zero where sign(d)|d|^(p-1) gives +0.0; they must still compare equal
+    grid = build_grid(1.0, 12)
+    u = GridField(grid, np.array([0.0, -0.0, 1.5, 1.5, -1.5, 0.0,
+                                  -0.0, 2.0, 1.5, -0.0, 0.25, 0.25]))
+    v = GridField(grid, -u.values[::-1])
+    du = np.subtract.outer(u.values, u.values)
+    zeros = (du == 0.0) & ~np.eye(12, dtype=bool)
+    assert np.signbit(du[zeros]).any() and not np.signbit(du[zeros]).all()
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+    h = grid.cell_measure
+    for (values, gag), w, e in zip(fracops.pair_pass(u, p, v, q, 0.4, True), (u, v), (p, q)):
+        d = np.subtract.outer(w.values, w.values)
+        W = weight_table(grid, e, 0.4)
+        assert np.array_equal(
+            values, 2.0 * h * np.sum(np.sign(d) * np.abs(d) ** (e - 1.0) * W, axis=1))
+        assert np.float64(gag).tobytes() == np.float64(
+            float(np.sum(np.abs(d) ** e * W) * h ** 2)).tobytes()
+        Lw, bracket_w = operator_and_bracket(w, e, 0.4)
+        assert np.array_equal(Lw.values, values) and bracket_w == gag / e
+
+
+def test_pair_pass_raises_worker_and_caller_errors(monkeypatch):
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+    u, v = _pair(build_grid(1.0, 10), 5)
+    with pytest.raises(ValueError, match="p > 1") as info:
+        fracops.pair_pass(u, 3.0, v, 1.0, 0.5, True)
+    assert "_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]
+    with pytest.raises(ValueError, match="p > 1"):
+        fracops.pair_pass(u, 0.5, v, 3.0, 0.5, True)      # caller side: worker drained
+    ru, rv = fracops.pair_pass(u, 3.0, v, 2.5, 0.5, True)
+    assert _bits(ru) == _bits(fracops._dense_pass(u, 3.0, 0.5, True, True))
+    assert _bits(rv) == _bits(fracops._dense_pass(v, 2.5, 0.5, True, True))
+
+
+def test_pair_pass_from_concurrent_callers(monkeypatch):
+    # more callers than cores share the one worker; each gets its own results
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+    pairs = [_pair(build_grid(1.0, 6 + k), k) for k in range(4)]
+    expected = [(_bits(fracops._dense_pass(u, 3.0, 0.5, True, True)),
+                 _bits(fracops._dense_pass(v, 2.5, 0.5, True, True))) for u, v in pairs]
+    wrong = []
+
+    def caller(k):
+        u, v = pairs[k]
+        for _ in range(50):
+            ru, rv = fracops.pair_pass(u, 3.0, v, 2.5, 0.5, True)
+            if (_bits(ru), _bits(rv)) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert wrong == []
+
+
+def test_forked_child_runs_a_threaded_pass(monkeypatch):
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+    u, v = _pair(build_grid(1.0, 16), 9)
+    expected = tuple(map(_bits, fracops.pair_pass(u, 3.0, v, 3.5, 0.5, True)))
+    assert fracops._worker is not None      # the parent's worker is running
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            # a child waiting on its parent's worker, which it does not have,
+            # is killed by the alarm instead of hanging the suite
+            signal.alarm(30)
+            got = tuple(map(_bits, fracops.pair_pass(u, 3.0, v, 3.5, 0.5, True)))
+            code = 0 if got == expected else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+
+def test_pair_pass_builds_a_shared_weight_table_once(monkeypatch):
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+    grid = build_grid(1.0, 400)         # a table no other test asks for
+    u, v = _pair(grid, 37)
+    before = fracops._weight_table.cache_info()
+    fracops.pair_pass(u, 2.75, v, 2.75, 0.37, True)
+    after = fracops._weight_table.cache_info()
+    assert after.misses - before.misses == 1

@@ -11,6 +11,8 @@ from fracwell import (
     log_coupling, log_coupling_bound_gap, nehari_psi, sample_field,
     validate_params, well_lower_bound,
 )
+from fracwell import variational
+from fracwell.fracops import bracket
 from fracwell.params import ParamError
 from fracwell.variational import embedding_bound_constant
 
@@ -95,6 +97,33 @@ class TestFibering:
             assert ray.phi(eps) == pytest.approx(rep.phi, rel=1e-12, abs=1e-14)
             assert ray.psi_consistent(eps) == pytest.approx(rep.psi_consistent, rel=1e-12)
             assert ray.psi_printed(eps) == pytest.approx(rep.psi_printed, rel=1e-12)
+
+    def test_ray_sums_from_one_pair_pass_and_one_masked_log(
+            self, grid32, flagship_params, unit_kirchhoff, monkeypatch):
+        u, v = random_pair(grid32, 37)
+        prm = flagship_params
+        sig = prm.sigma
+        au, av = np.abs(u.values), np.abs(v.values)
+        mask = au * av > 0.0
+        lg = np.log(au[mask] * av[mask])
+        hN = grid32.cell_measure
+        expected = dict(
+            bracket_u=bracket(u, prm.p, prm.s), bracket_v=bracket(v, prm.q, prm.s),
+            coupling_mass=coupling_mass(u, v, sig), log_coupling=log_coupling(u, v, sig),
+            coupling_high=float(np.sum((au * av) ** (sig + 1.0)) * hN),
+            log_coupling_high=float(np.sum((au[mask] * av[mask]) ** (sig + 1.0) * lg) * hN))
+        calls = []
+        for name in ("_masked_log_product", "pair_pass"):
+            real = getattr(variational, name)
+            monkeypatch.setattr(variational, name,
+                                lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        ray = FiberingRay.from_pair(u, v, prm, unit_kirchhoff, unit_kirchhoff)
+        assert sorted(calls) == ["_masked_log_product", "pair_pass"]
+        for name, value in expected.items():
+            assert np.float64(getattr(ray, name)).tobytes() == np.float64(value).tobytes(), name
+        rep = energy_report(u, v, prm, unit_kirchhoff, unit_kirchhoff)
+        assert all(getattr(rep, name) == value for name, value in expected.items())
 
     def test_scan_limits_and_sign_pattern(self, grid32, flagship_params, unit_kirchhoff):
         u = sample_field(grid32, "sine", 1.0)
