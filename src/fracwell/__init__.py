@@ -16,7 +16,7 @@ from .grids import (
     inner, sample_field,
 )
 from .fracops import (
-    apply_operator, bilinear_form, bracket, gagliardo_sum, operator_and_bracket,
+    apply_operator, bilinear_form, bracket, gagliardo_sum,
 )
 from .kirchhoff import (
     HypothesisReport, KirchhoffFn, check_hypotheses, k_antideriv, k_eval,
@@ -25,13 +25,13 @@ from .kirchhoff import (
 from .variational import (
     BracketingError, Classification, EnergyReport, EpsilonStar, FiberingRay,
     WellEstimate, blowup_time_bound, classify_initial_data, compute_d_star,
-    coupling_mass, energy_phi, energy_report, estimate_embedding_constant,
+    coupling_mass, energy_report, estimate_embedding_constant,
     estimate_well_depth, fibering_scan, find_epsilon_star, log_coupling,
-    log_coupling_bound_gap, nehari_psi, well_lower_bound,
+    log_coupling_bound_gap, well_lower_bound,
 )
 from .dynamics import (
     ConcavityReport, DecayFit, IntegratorControls, RunOutcome, SimTrace,
-    StepRecord, concavity_diagnostic, decay_fit, energy_identity_residual,
+    concavity_diagnostic, decay_fit, energy_identity_residual,
     fit_decay, integrate, rhs, tail_decay_check,
 )
 from .config import ConfigError, ExperimentConfig

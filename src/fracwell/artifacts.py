@@ -21,11 +21,9 @@ from .dynamics import SimTrace, energy_identity_residual
 from .grids import GridField
 from .variational import WellEstimate
 
-TRACE_COLUMNS = (
-    "t", "dt", "phi", "psi_consistent", "psi_printed", "bracket_u", "bracket_v",
-    "coupling_mass", "log_coupling", "l2_u", "l2_v", "maxabs_u", "maxabs_v",
-    "D", "residual",
-)
+# the trace's columns without the squared rates |u_t|^2, |v_t|^2, then the residual
+TRACE_COLUMNS = tuple(
+    c for c in SimTrace.COLUMNS if c not in ("ut_sq", "vt_sq")) + ("residual",)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -82,17 +80,9 @@ def write_field_csv(path: str | Path, field: GridField) -> None:
 
 
 def write_trace_csv(path: str | Path, trace: SimTrace) -> None:
-    resid = energy_identity_residual(trace).series if len(trace.records) >= 2 else [0.0]
-    rows = []
-    for rec, r in zip(trace.records, resid):
-        rep = rec.report
-        rows.append([
-            rec.t, rec.dt, rep.phi, rep.psi_consistent, rep.psi_printed,
-            rep.bracket_u, rep.bracket_v, rep.coupling_mass, rep.log_coupling,
-            rep.l2_u, rep.l2_v, rec.maxabs_u, rec.maxabs_v, rec.dissipation,
-            float(r),
-        ])
-    atomic_write_text(path, _csv_text(TRACE_COLUMNS, rows))
+    resid = energy_identity_residual(trace).series if len(trace) >= 2 else np.zeros(1)
+    cols = dict(trace.columns, residual=resid)
+    atomic_write_text(path, _csv_text(TRACE_COLUMNS, zip(*(cols[c] for c in TRACE_COLUMNS))))
 
 
 def write_fibering_csv(path: str | Path, rows: list[dict]) -> None:

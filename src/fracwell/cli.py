@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
                        "bracketing_failures": est.bracketing_failures},
         "residual_max_abs": (
             dynamics.energy_identity_residual(trace).max_abs
-            if len(trace.records) >= 2 else 0.0
+            if len(trace) >= 2 else 0.0
         ),
     }
     artifacts.write_json(run_dir / "summary.json", summary)
@@ -135,7 +135,7 @@ def _bound_comparisons(cls, trace, fit) -> dict:
 
 
 def _emit_plots(run_dir, cfg, params, Kp, Kq, u0, v0, trace):
-    ts, phis, mass = trace.times, trace.phis, trace.mass
+    ts, phis, mass = trace["t"], trace["phi"], trace.mass
     plot_svg(run_dir / "phi_linear.svg", [Series(ts, phis, "phi")],
              title="energy vs time", xlabel="t", ylabel="phi")
     plot_svg(run_dir / "phi_log.svg", [Series(ts, phis, "phi")],

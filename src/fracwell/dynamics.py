@@ -27,6 +27,7 @@ on the invariant phi + z and converges like it, O(rtol) or better.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,10 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from .fracops import pair_pass
-from .grids import GridField, inner
+from .grids import GridField, discrete_norm
 from .kirchhoff import KirchhoffFn, k_eval
 from .params import ModelParams, ParamError
-from .variational import EnergyReport, _masked_log_product, energy_report
+from .variational import _RAY_SUMS, FiberingRay, _masked_log_product, _ray_sums
 
 
 def rhs(
@@ -106,53 +107,36 @@ class RunOutcome:
         return out
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: float
-    dt: float
-    report: EnergyReport
-    ut_sq: float                 # |u_t|_2^2 from the evaluated right-hand side
-    vt_sq: float
-    maxabs_u: float
-    maxabs_v: float
-    dissipation: float           # cumulative D(t)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
     """Time series of accepted steps plus run metadata.
 
-    ``D(t)`` is the cumulative dissipation integral of |u_t|^2 + |v_t|^2,
-    accumulated per step with the integrator's fifth-order stage weights; it
-    is non-decreasing and enters the energy-identity residual.
+    ``trace[name]`` is the column of one name of ``COLUMNS``: one value per
+    accepted step, the first at t = 0.  ``ut_sq`` and ``vt_sq`` are
+    |u_t|_2^2 and |v_t|_2^2 from the evaluated right-hand side; ``D`` is the
+    cumulative dissipation integral of their sum, accumulated per step with
+    the integrator's fifth-order stage weights.  It is non-decreasing and
+    enters the energy-identity residual.
     """
 
-    records: tuple[StepRecord, ...]
+    COLUMNS = ("t", "dt", "phi", "psi_consistent", "psi_printed", "bracket_u",
+               "bracket_v", "coupling_mass", "log_coupling", "l2_u", "l2_v",
+               "maxabs_u", "maxabs_v", "D", "ut_sq", "vt_sq")
+
+    columns: dict[str, np.ndarray]
     outcome: RunOutcome
     params: ModelParams
-    psi_variant: str = "consistent"
 
-    def column(self, name: str) -> np.ndarray:
-        if name in StepRecord.__dataclass_fields__:
-            return np.array([getattr(r, name) for r in self.records])
-        return np.array([getattr(r.report, name) for r in self.records])
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
-
-    @property
-    def phis(self) -> np.ndarray:
-        return self.column("phi")
-
-    @property
-    def D(self) -> np.ndarray:
-        return self.column("dissipation")
+    def __len__(self) -> int:
+        return len(self.columns["t"])
 
     @property
     def mass(self) -> np.ndarray:
         """|u|_2^2 + |v|_2^2 per record."""
-        return self.column("l2_u") ** 2 + self.column("l2_v") ** 2
+        return self["l2_u"] ** 2 + self["l2_v"] ** 2
 
 
 def integrate(
@@ -165,7 +149,9 @@ def integrate(
 ) -> SimTrace:
     """Adaptive Dormand-Prince 5(4) integration of the semi-discrete flow.
 
-    A StepRecord is emitted at t = 0 and at every accepted step.  Termination:
+    A trace row is recorded at t = 0 and at every accepted step; phi and both
+    Nehari variants are evaluated for all rows at once, on the stacked
+    fibering rays of the rows at eps = 1.  Termination:
     the horizon t_end (CompletedHorizon); max-abs beyond the blow-up threshold
     or non-finite values (BlowUp, norm_threshold); step size under dt_min
     (BlowUp with trigger dt_floor when max-abs grew by the configured factor,
@@ -187,19 +173,17 @@ def integrate(
     initial_maxabs = float(np.max(np.abs(y)))
     t = 0.0
     D = 0.0
-    records: list[StepRecord] = []
+    rows: list[dict] = []
 
     def snapshot(t, dt, y, fy, D):
         uf = GridField(domain, y[:n])
         vf = GridField(domain, y[n:])
-        rep = energy_report(uf, vf, params, K_p, K_q)
         hN = domain.cell_measure
-        records.append(StepRecord(
-            t=t, dt=dt, report=rep,
-            ut_sq=float(np.sum(fy[:n] ** 2) * hN),
-            vt_sq=float(np.sum(fy[n:] ** 2) * hN),
-            maxabs_u=uf.max_abs(), maxabs_v=vf.max_abs(),
-            dissipation=D,
+        rows.append(dict(
+            t=t, dt=dt, **_ray_sums(uf, vf, params),
+            l2_u=discrete_norm(uf, 2.0), l2_v=discrete_norm(vf, 2.0),
+            maxabs_u=uf.max_abs(), maxabs_v=vf.max_abs(), D=D,
+            ut_sq=float(np.sum(fy[:n] ** 2) * hN), vt_sq=float(np.sum(fy[n:] ** 2) * hN),
         ))
 
     k1 = f(y)
@@ -209,7 +193,13 @@ def integrate(
         dt = min(dt, controls.dt_max)
 
     def finish(kind, t, trigger=""):
-        return SimTrace(tuple(records), RunOutcome(kind, t, trigger), params)
+        cols = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        ray = FiberingRay(params, K_p, K_q, **{name: cols[name] for name in _RAY_SUMS})
+        ones = np.ones(len(rows))
+        cols.update(phi=ray.phi(ones), psi_consistent=ray.psi_consistent(ones),
+                    psi_printed=ray.psi_printed(ones))
+        return SimTrace({name: cols[name] for name in SimTrace.COLUMNS},
+                        RunOutcome(kind, t, trigger), params)
 
     while t < controls.t_end:
         dt = min(dt, controls.t_end - t)
@@ -264,10 +254,10 @@ class ResidualSummary:
 
 def energy_identity_residual(trace: SimTrace) -> ResidualSummary:
     """Residual series r(t) = D(t) + phi(t) - phi(0) along a trace."""
-    if len(trace.records) < 2:
+    if len(trace) < 2:
         raise ValueError("residual needs at least two records")
-    phis = trace.phis
-    r = trace.D + phis - phis[0]
+    phis = trace["phi"]
+    r = trace["D"] + phis - phis[0]
     return ResidualSummary(series=r, max_abs=float(np.max(np.abs(r))),
                            max_positive=float(max(np.max(r), 0.0)))
 
@@ -333,16 +323,11 @@ def decay_fit(trace: SimTrace, tail_fraction: float = 0.5) -> DecayFit:
     """Decay fit of a completed run's energy, annotated with the predicted envelope."""
     if trace.outcome.kind != "CompletedHorizon":
         raise ValueError("decay fit needs a completed-horizon run")
-    base = fit_decay(trace.times, trace.phis, tail_fraction)
+    base = fit_decay(trace["t"], trace["phi"], tail_fraction)
     p = trace.params
-    predicted_kind = "exponential" if p.exponential_regime else "polynomial"
-    predicted_exp = None if p.exponential_regime else p.poly_decay_exponent
-    return DecayFit(
-        kind=base.kind, rate=base.rate, ss_exponential=base.ss_exponential,
-        ss_polynomial=base.ss_polynomial, goodness_ratio=base.goodness_ratio,
-        tail_points=base.tail_points, predicted_exponent=predicted_exp,
-        predicted_kind=predicted_kind, note=base.note,
-    )
+    return dataclasses.replace(
+        base, predicted_kind="exponential" if p.exponential_regime else "polynomial",
+        predicted_exponent=None if p.exponential_regime else p.poly_decay_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +439,14 @@ def concavity_diagnostic(trace: SimTrace, a: float, b: float, T: float) -> Conca
         raise ParamError("concavity diagnostic needs sigma > 2")
     if a <= 0 or b <= 0:
         raise ValueError("need a, b > 0")
-    ts = trace.times
+    ts = trace["t"]
     mass = trace.mass
     mass0 = mass[0]
     if b * (a * (sig / 2.0 - 1.0)) <= mass0:
         raise ValueError("b below admissible threshold for the chosen a")
     if T < ts[-1]:
         raise ValueError("reference horizon T must cover the trace")
-    psis = np.array([r.report.psi_consistent for r in trace.records])
+    psis = trace["psi_consistent"]
     cum = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(ts) * (mass[1:] + mass[:-1]))])
     L = cum + (T - ts) * mass0 + (a * ts + b) ** 2
     Lp = mass - mass0 + 2.0 * a * (a * ts + b)

@@ -18,15 +18,16 @@ row sum of the same antisymmetric kernel the bilinear form contracts.  This
 makes the energy bookkeeping of the flow testable at machine precision rather
 than only in the mesh limit.
 
-One pass per field: ``operator_and_bracket`` builds the difference table
+One pass per field: ``_dense_pass`` builds the difference table
 d_ij = u_i - u_j once, in a reused per-thread workspace, and returns both the
-operator and the bracket, so each right-hand side makes one dense pass per
-field.  ``apply_operator``, ``gagliardo_sum`` and ``bracket`` run the same
-pass with one of its two outputs switched off.  The bracket stays
-sum |d|^p W h^(2N)/p, with its own power of |d|, and is never taken from the
-duality shortcut inner(Lu, u)/p: the shortcut differs in the last bits, and
-the adaptive step controller amplifies ulp changes in K(A) into the step
-size.  Every output is therefore bit-identical to the separate passes.
+operator and the Gagliardo sum; through ``pair_pass`` it gives ``dynamics.rhs``
+and every report one pass per field.  ``apply_operator``, ``gagliardo_sum``
+and ``bracket`` run the same pass with one of its two outputs switched off.
+The bracket stays sum |d|^p W h^(2N)/p, with its own power of |d|, and is
+never taken from the duality shortcut inner(Lu, u)/p: the shortcut differs in
+the last bits, and the adaptive step controller amplifies ulp changes in K(A)
+into the step size.  Every output is therefore bit-identical to the separate
+passes.
 
 Two fields, two cores: ``pair_pass`` runs the passes of u and v, which share
 no data, side by side.  v's pass goes to one daemon worker thread, started on
@@ -35,8 +36,8 @@ lock inside each ufunc, so the two overlap.  The worker is used from
 ``_THREADED_MIN_NODES`` nodes on and only when the process may run on two
 CPUs; below that the handoff costs more than it saves and the two passes run
 one after the other.  Each pass runs the same ufuncs in the same order either
-way, so the results are bit-identical.  ``dynamics.rhs``, every energy report
-and fibering ray, and the log-coupling bound gap go through it.
+way, so the results are bit-identical.  ``dynamics.rhs``, every energy report,
+trace row and fibering ray, and the log-coupling bound gap go through it.
 """
 
 from __future__ import annotations
@@ -236,15 +237,6 @@ def apply_operator(u: GridField, p: float, s: float) -> GridField:
     the nodal value u_i is h^N * (Lu)_i.
     """
     return GridField(u.domain, _dense_pass(u, p, s, operator=True, seminorm=False)[0])
-
-
-def operator_and_bracket(u: GridField, p: float, s: float) -> tuple[GridField, float]:
-    """``(apply_operator(u, p, s), bracket(u, p, s))`` from one pairwise pass.
-
-    Both results are bit-identical to the separate calls.
-    """
-    values, gag = _dense_pass(u, p, s, operator=True, seminorm=True)
-    return GridField(u.domain, values), gag / p
 
 
 # Naive double-loop references: used only by the exactness cross-checks.

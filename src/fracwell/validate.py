@@ -229,11 +229,11 @@ def suite_fibering(seed=106, pairs=8, psi_variant="consistent") -> SuiteResult:
         # differences of direct scaled-field evaluations
         for eps in (0.5, 1.0, 2.0):
             d = 1e-6 * eps
-            lo = variational.energy_phi(u.scaled(eps - d), v.scaled(eps - d), params, Kp, Kq)
-            hi = variational.energy_phi(u.scaled(eps + d), v.scaled(eps + d), params, Kp, Kq)
-            fd = (hi - lo) / (2 * d)
-            psi_over_eps = variational.nehari_psi(
-                u.scaled(eps), v.scaled(eps), params, Kp, Kq, psi_variant) / eps
+            lo = variational.energy_report(u.scaled(eps - d), v.scaled(eps - d), params, Kp, Kq)
+            hi = variational.energy_report(u.scaled(eps + d), v.scaled(eps + d), params, Kp, Kq)
+            fd = (hi.phi - lo.phi) / (2 * d)
+            psi_over_eps = variational.energy_report(
+                u.scaled(eps), v.scaled(eps), params, Kp, Kq).psi(psi_variant) / eps
             res.checks += 1
             if abs(fd - psi_over_eps) > 1e-5 * (1.0 + abs(fd)):
                 res.fail(
@@ -365,7 +365,7 @@ def suite_dissipation(seed=112) -> SuiteResult:
     res.checks += 1
     if trace.outcome.kind != "CompletedHorizon":
         res.fail(f"decay run ended {trace.outcome}")
-    phis = trace.phis
+    phis = trace["phi"]
     slack = 1e-7 * (1.0 + abs(phis[0]))
     res.checks += 1
     if np.any(np.diff(phis) > slack):
@@ -377,7 +377,7 @@ def suite_dissipation(seed=112) -> SuiteResult:
     # energy chain at the initial state
     du, dv = dynamics.rhs(u0, v0, params, Kp, Kq)
     chain = inner(du, u0) + inner(dv, v0)
-    psi0 = variational.nehari_psi(u0, v0, params, Kp, Kq, "consistent")
+    psi0 = variational.energy_report(u0, v0, params, Kp, Kq).psi_consistent
     res.checks += 1
     if abs(chain + psi0) > 1e-10 * (1.0 + abs(psi0)):
         res.fail(f"energy chain mismatch: {chain} vs -psi={-psi0}")
@@ -397,7 +397,7 @@ def suite_norm_growth(seed=113) -> SuiteResult:
     if trace.outcome.kind != "BlowUp":
         res.fail(f"expected a blow-up outcome, got {trace.outcome}")
     mass = trace.mass
-    psis = np.array([r.report.psi_consistent for r in trace.records])
+    psis = trace["psi_consistent"]
     res.checks += 1
     neg = psis[:-1] < 0
     if np.any(np.diff(mass)[neg] < -1e-10 * (1.0 + mass[:-1][neg])):

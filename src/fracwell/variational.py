@@ -111,67 +111,6 @@ def _ray_sums(u: GridField, v: GridField, params: ModelParams) -> dict[str, floa
 
 
 # ---------------------------------------------------------------------------
-# energy / Nehari reports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """All variational quantities of one state (u, v)."""
-
-    bracket_u: float
-    bracket_v: float
-    gagliardo_u: float
-    gagliardo_v: float
-    khat_u: float
-    khat_v: float
-    coupling_mass: float
-    log_coupling: float
-    coupling_high: float
-    log_coupling_high: float
-    phi: float
-    psi_consistent: float
-    psi_printed: float
-    l2_u: float
-    l2_v: float
-
-    def psi(self, variant: str = "consistent") -> float:
-        if variant == "consistent":
-            return self.psi_consistent
-        if variant == "printed":
-            return self.psi_printed
-        raise ValueError(f"unknown psi variant {variant!r}")
-
-
-def energy_report(
-    u: GridField, v: GridField, params: ModelParams, K_p: KirchhoffFn, K_q: KirchhoffFn
-) -> EnergyReport:
-    """Evaluate the energy, both Nehari variants, and all their ingredients."""
-    p, q, sig = params.p, params.q, params.sigma
-    sums = _ray_sums(u, v, params)
-    A, B, l0 = sums["bracket_u"], sums["bracket_v"], sums["log_coupling"]
-    gag_u, gag_v = p * A, q * B
-    khat_u = k_antideriv(K_p, A)
-    khat_v = k_antideriv(K_q, B)
-    phi = khat_u / p + khat_v / q + sums["coupling_mass"] / sig ** 2 - l0 / sig
-    psi_c = k_eval(K_p, A) * A + k_eval(K_q, B) * B - 2.0 * l0
-    psi_pr = (k_eval(K_p, A) * gag_u + k_eval(K_q, B) * gag_v
-              - 2.0 * sums["log_coupling_high"])
-    return EnergyReport(
-        **sums, gagliardo_u=gag_u, gagliardo_v=gag_v, khat_u=khat_u, khat_v=khat_v,
-        phi=phi, psi_consistent=psi_c, psi_printed=psi_pr,
-        l2_u=discrete_norm(u, 2.0), l2_v=discrete_norm(v, 2.0),
-    )
-
-
-def energy_phi(u, v, params, K_p, K_q) -> float:
-    return energy_report(u, v, params, K_p, K_q).phi
-
-
-def nehari_psi(u, v, params, K_p, K_q, variant: str = "consistent") -> float:
-    return energy_report(u, v, params, K_p, K_q).psi(variant)
-
-
-# ---------------------------------------------------------------------------
 # fibering ray
 # ---------------------------------------------------------------------------
 
@@ -193,6 +132,8 @@ class FiberingRay:
     All functionals are homogeneous along the ray, so the pairwise sums are
     computed once and rescaled analytically; values agree with direct
     evaluation at the scaled fields to floating-point homogeneity accuracy.
+    phi, psi_consistent and psi_printed are written here only: an energy
+    report and every trace row are their ray evaluated at eps = 1.
 
     The sums may also be equal-length arrays (see ``stack``): the object is
     then a batch of rays sharing params and coefficients, and each method
@@ -254,7 +195,7 @@ class FiberingRay:
         high = _libm_pow(eps, 2 * sig + 2) * (
             self.log_coupling_high + 2.0 * np.log(eps) * self.coupling_high
         )
-        return k_eval(self.K_p, A) * p * A + k_eval(self.K_q, B) * q * B - 2.0 * high
+        return k_eval(self.K_p, A) * (p * A) + k_eval(self.K_q, B) * (q * B) - 2.0 * high
 
     def psi(self, eps: float, variant: str = "consistent") -> float:
         if variant == "consistent":
@@ -267,6 +208,48 @@ class FiberingRay:
         """Magnitude of the two coefficient terms; reference scale for residuals."""
         A, B = self.scaled_brackets(eps)
         return abs(k_eval(self.K_p, A) * A) + abs(k_eval(self.K_q, B) * B)
+
+
+# ---------------------------------------------------------------------------
+# energy / Nehari report
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EnergyReport:
+    """All variational quantities of one state (u, v)."""
+
+    bracket_u: float
+    bracket_v: float
+    coupling_mass: float
+    log_coupling: float
+    coupling_high: float
+    log_coupling_high: float
+    phi: float
+    psi_consistent: float
+    psi_printed: float
+    l2_u: float
+    l2_v: float
+
+    def psi(self, variant: str = "consistent") -> float:
+        if variant == "consistent":
+            return self.psi_consistent
+        if variant == "printed":
+            return self.psi_printed
+        raise ValueError(f"unknown psi variant {variant!r}")
+
+
+def energy_report(
+    u: GridField, v: GridField, params: ModelParams, K_p: KirchhoffFn, K_q: KirchhoffFn
+) -> EnergyReport:
+    """The energy, both Nehari variants and their ingredients: the fibering
+    ray of (u, v) at eps = 1, where every power of eps and log(eps) is exact."""
+    sums = _ray_sums(u, v, params)
+    ray = FiberingRay(params, K_p, K_q, **sums)
+    return EnergyReport(
+        **sums, phi=float(ray.phi(1.0)), psi_consistent=float(ray.psi_consistent(1.0)),
+        psi_printed=float(ray.psi_printed(1.0)),
+        l2_u=discrete_norm(u, 2.0), l2_v=discrete_norm(v, 2.0),
+    )
 
 
 def fibering_scan(
@@ -412,9 +395,11 @@ class WellEstimate:
     """Upper estimate of the well depth from sampled Nehari points.
 
     ``d`` is the minimum of phi over the sampled, ray-projected direction
-    pairs; the true well depth is an infimum over an infinite-dimensional
-    manifold, so this is an upper bound and any classification derived from it
-    is relative to the estimate.
+    pairs, which all vanish at the box edges; the true well depth is an
+    infimum over the whole Nehari set, so this is a sampled upper estimate
+    and any classification derived from it is relative to it.  It is loose:
+    on ``configs/decay.json`` d = 0.934 sits about 15x above the constant
+    pair u = v = 1, a Nehari point with phi = |U|/sigma^2 = 0.0625.
     """
 
     d: float
@@ -498,7 +483,9 @@ def estimate_well_depth(
 ) -> WellEstimate:
     """Sample direction pairs, project each onto the Nehari set, minimize phi.
 
-    Optionally refines the best pair by coordinate descent on nodal values
+    The directions vanish at the box edges, so ``d`` is a sampled upper
+    estimate, about 15x above the constant pair's Nehari point on
+    ``configs/decay.json`` (see ``WellEstimate``).  Optionally refines the best pair by coordinate descent on nodal values
     with re-projection through the critical fibering scale after each move;
     refinement can only lower the estimate.
     """
@@ -829,7 +816,7 @@ def well_lower_bound(
     return WellLowerBound(
         kirchhoff_part=kirchhoff_part,
         bracket_bound=coeff * (ku + kv),
-        printed_bound=coeff * (k_eval(K_p, rep.bracket_u) * rep.gagliardo_u
-                               + k_eval(K_q, rep.bracket_v) * rep.gagliardo_v),
+        printed_bound=coeff * (k_eval(K_p, rep.bracket_u) * (p * rep.bracket_u)
+                               + k_eval(K_q, rep.bracket_v) * (q * rep.bracket_v)),
         coupling_leftover=leftover,
     )

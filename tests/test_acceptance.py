@@ -23,8 +23,8 @@ import pytest
 from fracwell import (
     FiberingRay, GridField, IntegratorControls, KirchhoffFn, apply_operator,
     bilinear_form, bracket, build_grid, classify_initial_data, compute_d_star,
-    decay_fit, energy_identity_residual, energy_phi, estimate_well_depth,
-    find_epsilon_star, gagliardo_sum, inner, integrate, nehari_psi,
+    decay_fit, energy_identity_residual, energy_report, estimate_well_depth,
+    find_epsilon_star, gagliardo_sum, inner, integrate,
     sample_field, tail_decay_check, validate_params,
 )
 from fracwell.fracops import apply_operator_naive, gagliardo_sum_naive
@@ -123,9 +123,10 @@ def test_criterion_3_fibering(params, K):
             failures.append(f"pair {seed}: phi max not within one cell of eps*")
         for eps in (0.5, 1.0, 2.0):
             d = 1e-6 * eps
-            fd = (energy_phi(u.scaled(eps + d), v.scaled(eps + d), params, K, K)
-                  - energy_phi(u.scaled(eps - d), v.scaled(eps - d), params, K, K)) / (2 * d)
-            psi = nehari_psi(u.scaled(eps), v.scaled(eps), params, K, K, "consistent")
+            fd = (energy_report(u.scaled(eps + d), v.scaled(eps + d), params, K, K).phi
+                  - energy_report(u.scaled(eps - d), v.scaled(eps - d), params, K, K).phi
+                  ) / (2 * d)
+            psi = energy_report(u.scaled(eps), v.scaled(eps), params, K, K).psi_consistent
             if abs(fd - psi / eps) > 1e-5 * (1.0 + abs(fd)):
                 failures.append(f"pair {seed}: derivative identity off at eps={eps}")
     elapsed = time.perf_counter() - t0
@@ -157,7 +158,7 @@ def test_criterion_5_energy_monotone(params, K):
     t0 = time.perf_counter()
     grid = build_grid(1.0, 48)
     trace = _decay_run(1e-8, grid, params, K)
-    phis = trace.phis
+    phis = trace["phi"]
     slack = 1e-7 * (1.0 + abs(phis[0]))
     worst = float(np.max(np.diff(phis)))
     elapsed = time.perf_counter() - t0
@@ -180,10 +181,10 @@ def test_criterion_5_residual_refinement(params, K):
     for rt in rtols:
         trace = _decay_run(rt, grid, params, K)
         res.append(energy_identity_residual(trace).max_abs)
-        g = trace.column("ut_sq") + trace.column("vt_sq")
+        g = trace["ut_sq"] + trace["vt_sq"]
         D_trap = np.concatenate(
-            [[0.0], np.cumsum(0.5 * np.diff(trace.times) * (g[1:] + g[:-1]))])
-        res_trap.append(float(np.max(np.abs(D_trap + trace.phis - trace.phis[0]))))
+            [[0.0], np.cumsum(0.5 * np.diff(trace["t"]) * (g[1:] + g[:-1]))])
+        res_trap.append(float(np.max(np.abs(D_trap + trace["phi"] - trace["phi"][0]))))
     ratios = [res[i] / res[i + 1] for i in range(len(res) - 1)]
     ratios_trap = [res_trap[i] / res_trap[i + 1] for i in range(len(res) - 1)]
     elapsed = time.perf_counter() - t0
@@ -221,7 +222,7 @@ def test_criterion_6_blowup_bound(params, K):
             failures.append(f"{preset}@{amp}: t_detect {trace.outcome.t:.3g} > "
                             f"bound {cls.t_max_bound:.3g}")
         mass = trace.mass
-        psis = np.array([r.report.psi_consistent for r in trace.records])
+        psis = trace["psi_consistent"]
         neg = psis[:-1] < 0
         if np.any(np.diff(mass)[neg] < -1e-10 * (1.0 + mass[:-1][neg])):
             failures.append(f"{preset}@{amp}: mass decreased while psi < 0")

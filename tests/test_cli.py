@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -261,3 +262,34 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "GlobalDecay"
+
+
+# SHA-256 of the artifacts of ``fracwell simulate`` on each example config,
+# recorded before the trace became a set of columns and the energy report the
+# fibering ray at eps = 1 (numpy 2.4.6, Python 3.11, x86-64 Linux).  They pin
+# the exact bytes: another numpy or libm may round differently and change them.
+GOLDEN_SHA256 = {
+    "decay": (
+        "2dcdfc00be4aa2720e3510df67af95d41058c9f6ff647e4764712f17ba163e0a",
+        "ebe13e005bb9e3bbd652218c85a9bbd7f214d83128ece3296fda1930a0d33a7d",
+        "a863db3cbd1f1f8571823caac27ec52853463c3c296b40f7cf8621bf4bc6e313"),
+    "blowup": (
+        "cbe2a461594acd390100f3ef0c0fe79c31589d146b4d188ce2758a612385cca8",
+        "070ae7ae953b6e31c8b51688015290444b55bebc35db788c8aefb4cb5e7bc715",
+        "769f9558d36c8ae13df9a70a1f3f2e9b39c87e7e8c158f950b34ad8b9b31a965"),
+    "kirchhoff_decay": (
+        "0141a0f091cd3aeadbdf423a582d7ae0637d00439f1eb703f6d0bd69b6f98635",
+        "0c17321a6b2a2b252d11c8dc880d8f6e9fc2db9054ac58114df5b096f967ffbf",
+        "2add94607c4f0ab2ca5be958f8091a79ac325fb19914e1b6b8571565c9a787d9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_simulate_artifacts_match_golden_hashes(tmp_path, capsys, name):
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    expected_exit = 10 if name == "blowup" else 0
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == expected_exit
+    run_dir = tmp_path / "run-seed1"
+    digests = tuple(hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
+                    for f in ("trace.csv", "summary.json", "outcome.json"))
+    assert digests == GOLDEN_SHA256[name]

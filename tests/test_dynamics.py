@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fracwell import (
-    GridField, IntegratorControls, apply_operator, build_grid,
+    GridField, IntegratorControls, KirchhoffFn, apply_operator, build_grid,
     concavity_diagnostic, decay_fit, energy_identity_residual, fit_decay,
-    inner, integrate, k_eval, nehari_psi, rhs, sample_field, tail_decay_check,
+    energy_report, inner, integrate, k_eval, rhs, sample_field, tail_decay_check,
 )
 from fracwell.fracops import bracket
 from fracwell.params import ParamError
@@ -57,8 +57,8 @@ class TestRightHandSide:
             u, v = random_pair(grid32, 300 + seed)
             du, dv = rhs(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
             chain = inner(du, u) + inner(dv, v)
-            psi = nehari_psi(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff,
-                             "consistent")
+            psi = energy_report(u, v, flagship_params, unit_kirchhoff,
+                                unit_kirchhoff).psi_consistent
             assert abs(chain + psi) <= 1e-10 * (1.0 + abs(psi))
 
     def test_energy_chain_nonconstant_coefficients(self, grid32, flagship_params):
@@ -69,24 +69,23 @@ class TestRightHandSide:
         u, v = random_pair(grid32, 404)
         du, dv = rhs(u, v, flagship_params, Kp, Kq)
         chain = inner(du, u) + inner(dv, v)
-        psi = nehari_psi(u, v, flagship_params, Kp, Kq, "consistent")
+        psi = energy_report(u, v, flagship_params, Kp, Kq).psi_consistent
         assert abs(chain + psi) <= 1e-10 * (1.0 + abs(psi))
 
     def test_gradient_of_energy(self, flagship_params, unit_kirchhoff):
         # the flow is the L2 gradient flow: d(phi)/dt = -(|u_t|^2 + |v_t|^2)
-        from fracwell import energy_phi
         g = build_grid(1.0, 16)
         u, v = random_pair(g, 17)
         du, dv = rhs(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         gsq = inner(du, du) + inner(dv, dv)
         d = 1e-7
-        hi = energy_phi(GridField(g, u.values + d * du.values),
-                        GridField(g, v.values + d * dv.values),
-                        flagship_params, unit_kirchhoff, unit_kirchhoff)
-        lo = energy_phi(GridField(g, u.values - d * du.values),
-                        GridField(g, v.values - d * dv.values),
-                        flagship_params, unit_kirchhoff, unit_kirchhoff)
-        assert (hi - lo) / (2 * d) == pytest.approx(-gsq, rel=1e-5)
+        hi = energy_report(GridField(g, u.values + d * du.values),
+                           GridField(g, v.values + d * dv.values),
+                           flagship_params, unit_kirchhoff, unit_kirchhoff)
+        lo = energy_report(GridField(g, u.values - d * du.values),
+                           GridField(g, v.values - d * dv.values),
+                           flagship_params, unit_kirchhoff, unit_kirchhoff)
+        assert (hi.phi - lo.phi) / (2 * d) == pytest.approx(-gsq, rel=1e-5)
 
 
 class TestIntegrate:
@@ -95,18 +94,19 @@ class TestIntegrate:
         trace = integrate(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff,
                           IntegratorControls(t_end=1.0, rtol=1e-8))
         assert trace.outcome.kind == "CompletedHorizon"
-        assert all(r.maxabs_u == 0.0 and r.maxabs_v == 0.0 for r in trace.records)
+        assert np.all(trace["maxabs_u"] == 0.0)
+        assert np.all(trace["maxabs_v"] == 0.0)
 
     def test_decay_run_monotone_energy(self, grid32, flagship_params, unit_kirchhoff):
         u0 = sample_field(grid32, "sine", 0.5)
         trace = integrate(u0, u0, flagship_params, unit_kirchhoff, unit_kirchhoff,
                           IntegratorControls(t_end=3.0, rtol=1e-8))
         assert trace.outcome.kind == "CompletedHorizon"
-        phis = trace.phis
+        phis = trace["phi"]
         assert np.all(np.diff(phis) <= 1e-7 * (1.0 + abs(phis[0])))
         assert phis[-1] < phis[0]
-        assert np.all(np.diff(trace.D) >= 0.0)
-        assert np.all(np.diff(trace.times) > 0.0)
+        assert np.all(np.diff(trace["D"]) >= 0.0)
+        assert np.all(np.diff(trace["t"]) > 0.0)
 
     def test_blowup_detected_with_growth(self, grid32, flagship_params, unit_kirchhoff):
         u0 = sample_field(grid32, "sine", 2.5)
@@ -114,7 +114,8 @@ class TestIntegrate:
                           IntegratorControls(t_end=5.0, rtol=1e-7))
         assert trace.outcome.kind == "BlowUp"
         assert trace.outcome.trigger in ("norm_threshold", "dt_floor")
-        assert trace.records[-1].maxabs_u > 10 * trace.records[0].maxabs_u
+        maxabs_u = trace["maxabs_u"]
+        assert maxabs_u[-1] > 10 * maxabs_u[0]
 
     def test_step_underflow_without_growth(self, grid32, flagship_params, unit_kirchhoff):
         # a dt floor far above anything acceptable stalls the run immediately
@@ -124,14 +125,27 @@ class TestIntegrate:
                                              dt_min=0.5))
         assert trace.outcome.kind == "StepUnderflow"
 
+    def test_first_row_is_the_energy_report_bitwise(self, grid32, flagship_params):
+        # the trace evaluates phi and both psi variants on stacked rays
+        Kp = KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25)
+        Kq = KirchhoffFn.log1p(beta=1.0)
+        u0, v0 = random_pair(grid32, 71)
+        trace = integrate(u0, v0, flagship_params, Kp, Kq,
+                          IntegratorControls(t_end=1e-3, rtol=1e-7))
+        rep = energy_report(u0, v0, flagship_params, Kp, Kq)
+        for name in ("phi", "psi_consistent", "psi_printed", "bracket_u", "bracket_v",
+                     "coupling_mass", "log_coupling", "l2_u", "l2_v"):
+            assert trace[name][0].tobytes() == np.float64(getattr(rep, name)).tobytes()
+        assert len(trace) > 1
+
     def test_determinism(self, grid32, flagship_params, unit_kirchhoff):
         u0 = sample_field(grid32, "sine", 0.7)
         controls = IntegratorControls(t_end=1.0, rtol=1e-7)
         t1 = integrate(u0, u0, flagship_params, unit_kirchhoff, unit_kirchhoff, controls)
         t2 = integrate(u0, u0, flagship_params, unit_kirchhoff, unit_kirchhoff, controls)
-        assert len(t1.records) == len(t2.records)
-        assert t1.times.tolist() == t2.times.tolist()
-        assert t1.phis.tolist() == t2.phis.tolist()
+        assert len(t1) == len(t2)
+        assert t1["t"].tolist() == t2["t"].tolist()
+        assert t1["phi"].tolist() == t2["phi"].tolist()
 
     def test_control_validation(self):
         with pytest.raises(ParamError):
@@ -152,7 +166,7 @@ class TestEnergyIdentity:
         trace = integrate(u0, u0, flagship_params, unit_kirchhoff, unit_kirchhoff,
                           IntegratorControls(t_end=5.0, rtol=1e-8))
         summary = energy_identity_residual(trace)
-        assert summary.max_abs <= 1e-5 * (1.0 + abs(trace.phis[0]))
+        assert summary.max_abs <= 1e-5 * (1.0 + abs(trace["phi"][0]))
         assert summary.max_positive <= summary.max_abs
 
     def test_residual_improves_under_refinement(self, grid32, flagship_params,
@@ -250,7 +264,7 @@ class TestConcavity:
                                   unit_kirchhoff, directions=40, seed=2)
         u0 = sample_field(grid32, "sine", 2.5)
         d_star = compute_d_star(est.d, u0, u0, flagship_params)
-        phi0 = blowup_trace.phis[0]
+        phi0 = blowup_trace["phi"][0]
         assert d_star > phi0
         a = math.sqrt(d_star - phi0)
         sig = flagship_params.sigma

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fracwell import fracops
 from fracwell import (
     GridField, apply_operator, bilinear_form, bracket, build_grid,
-    gagliardo_sum, inner, operator_and_bracket, sample_field,
+    gagliardo_sum, inner, sample_field,
 )
 from fracwell.fracops import apply_operator_naive, gagliardo_sum_naive, weight_table
 from fracwell.grids import GridError
@@ -169,10 +169,10 @@ class TestFusedPass:
 
     def test_equals_separate_passes_exactly(self, p, grid):
         u = self.field(grid, p)
-        Lu, A = operator_and_bracket(u, p, 0.4)
-        assert Lu.domain == grid
-        assert np.array_equal(Lu.values, apply_operator(u, p, 0.4).values)
-        assert A == bracket(u, p, 0.4) == gagliardo_sum(u, p, 0.4) / p
+        Lu, gag = fracops._dense_pass(u, p, 0.4, True, True)
+        assert Lu.shape == (grid.node_count,)
+        assert np.array_equal(Lu, apply_operator(u, p, 0.4).values)
+        assert gag / p == bracket(u, p, 0.4) == gagliardo_sum(u, p, 0.4) / p
 
     def test_equals_out_of_place_expressions_exactly(self, p, grid):
         # the in-place buffers must reproduce the plain numpy expressions
@@ -181,17 +181,17 @@ class TestFusedPass:
         W = weight_table(grid, p, 0.4)
         du = u.values[:, None] - u.values[None, :]
         h = grid.cell_measure
-        Lu, A = operator_and_bracket(u, p, 0.4)
-        assert A == float(np.sum(np.abs(du) ** p * W) * h ** 2) / p
+        Lu, gag = fracops._dense_pass(u, p, 0.4, True, True)
+        assert gag / p == float(np.sum(np.abs(du) ** p * W) * h ** 2) / p
         assert np.array_equal(
-            Lu.values, 2.0 * h * np.sum(np.sign(du) * np.abs(du) ** (p - 1.0) * W, axis=1))
+            Lu, 2.0 * h * np.sum(np.sign(du) * np.abs(du) ** (p - 1.0) * W, axis=1))
 
     def test_matches_naive_loops(self, p, grid):
         u = self.field(grid, p)
-        Lu, A = operator_and_bracket(u, p, 0.4)
-        assert A * p == pytest.approx(gagliardo_sum_naive(u, p, 0.4), rel=1e-12)
+        Lu, gag = fracops._dense_pass(u, p, 0.4, True, True)
+        assert gag == pytest.approx(gagliardo_sum_naive(u, p, 0.4), rel=1e-12)
         slow = apply_operator_naive(u, p, 0.4).values
-        assert np.all(np.abs(Lu.values - slow) <= 1e-12 * (1.0 + np.abs(slow)))
+        assert np.all(np.abs(Lu - slow) <= 1e-12 * (1.0 + np.abs(slow)))
 
 
 SMALL_GRIDS = [build_grid(1.0, m) for m in range(2, 13)] + [
@@ -213,46 +213,46 @@ def small_fields(draw):
 def test_fused_pass_matches_naive_loops_property(u, p, s):
     # p in (1, 4], 1 < p < 2 included; relative error <= 1e-12, the operator's
     # measured against the sum of its terms' magnitudes (rows may cancel)
-    Lu, A = operator_and_bracket(u, p, s)
+    Lu, fused = fracops._dense_pass(u, p, s, True, True)
     gag = gagliardo_sum_naive(u, p, s)
-    assert abs(A * p - gag) <= 1e-12 * gag
+    assert abs(fused - gag) <= 1e-12 * gag
     du = np.abs(np.subtract.outer(u.values, u.values))
     W = weight_table(u.domain, p, s)
     scale = 2.0 * u.domain.cell_measure * np.sum(du ** (p - 1.0) * W, axis=1)
     slow = apply_operator_naive(u, p, s).values
-    assert np.all(np.abs(Lu.values - slow) <= 1e-12 * scale)
+    assert np.all(np.abs(Lu - slow) <= 1e-12 * scale)
 
 
 def test_workspace_reuse_leaves_earlier_results_alone():
     rng = np.random.default_rng(4)
     g16, g24 = build_grid(1.0, 16), build_grid(1.0, 24)
     u, w = (GridField(g16, rng.normal(size=16)) for _ in range(2))
-    Lu, A = operator_and_bracket(u, 3.0, 0.5)
-    kept = Lu.values.copy()
+    Lu, A = fracops._dense_pass(u, 3.0, 0.5, True, True)
+    kept = Lu.copy()
     buffers = list(fracops._local.buffers)
     assert len(buffers) == 2
-    Lw, B = operator_and_bracket(w, 3.0, 0.5)
-    assert np.array_equal(Lu.values, kept) and not np.array_equal(Lw.values, kept)
+    Lw, B = fracops._dense_pass(w, 3.0, 0.5, True, True)
+    assert np.array_equal(Lu, kept) and not np.array_equal(Lw, kept)
     assert all(a is b for a, b in zip(fracops._local.buffers, buffers))   # same M: reused
     z = GridField(g24, rng.normal(size=24))
-    Lz, C = operator_and_bracket(z, 2.5, 0.5)                          # new M: reallocated
+    Lz, C = fracops._dense_pass(z, 2.5, 0.5, True, True)          # new M: reallocated
     assert fracops._local.buffers[0].shape == (24, 24)
-    assert np.all(np.abs(Lz.values - apply_operator_naive(z, 2.5, 0.5).values)
-                  <= 1e-12 * (1.0 + np.abs(Lz.values)))
-    assert C * 2.5 == pytest.approx(gagliardo_sum_naive(z, 2.5, 0.5), rel=1e-12)
-    again, A2 = operator_and_bracket(u, 3.0, 0.5)
-    assert np.array_equal(again.values, kept) and A2 == A
-    assert np.array_equal(Lu.values, kept)
+    assert np.all(np.abs(Lz - apply_operator_naive(z, 2.5, 0.5).values)
+                  <= 1e-12 * (1.0 + np.abs(Lz)))
+    assert C == pytest.approx(gagliardo_sum_naive(z, 2.5, 0.5), rel=1e-12)
+    again, A2 = fracops._dense_pass(u, 3.0, 0.5, True, True)
+    assert np.array_equal(again, kept) and A2 == A
+    assert np.array_equal(Lu, kept)
     # another thread passes in a workspace of its own and leaves this one alone
     mine = list(fracops._local.buffers)
     seen = []
     worker = threading.Thread(target=lambda: seen.append(
-        (operator_and_bracket(u, 3.0, 0.5), list(fracops._local.buffers))))
+        (fracops._dense_pass(u, 3.0, 0.5, True, True), list(fracops._local.buffers))))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
     (other, A3), theirs = seen[0]
-    assert np.array_equal(other.values, kept) and A3 == A
+    assert np.array_equal(other, kept) and A3 == A
     assert not any(a is b for a in theirs for b in mine)
     assert all(a is b for a, b in zip(fracops._local.buffers, mine))
 
@@ -321,8 +321,8 @@ def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
             values, 2.0 * h * np.sum(np.sign(d) * np.abs(d) ** (e - 1.0) * W, axis=1))
         assert np.float64(gag).tobytes() == np.float64(
             float(np.sum(np.abs(d) ** e * W) * h ** 2)).tobytes()
-        Lw, bracket_w = operator_and_bracket(w, e, 0.4)
-        assert np.array_equal(Lw.values, values) and bracket_w == gag / e
+        Lw, gag_w = fracops._dense_pass(w, e, 0.4, True, True)
+        assert np.array_equal(Lw, values) and gag_w == gag
 
 
 def test_pair_pass_raises_worker_and_caller_errors(monkeypatch):

@@ -1,14 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracwell import (
-    BracketingError, FiberingRay, GridField, blowup_time_bound,
-    build_grid, classify_initial_data, compute_d_star, coupling_mass,
-    energy_phi, energy_report, estimate_embedding_constant,
+    BracketingError, ExperimentConfig, FiberingRay, GridField, KirchhoffFn,
+    blowup_time_bound, build_grid, classify_initial_data, compute_d_star, coupling_mass,
+    energy_report, estimate_embedding_constant,
     estimate_well_depth, fibering_scan, find_epsilon_star, gagliardo_sum,
-    log_coupling, log_coupling_bound_gap, nehari_psi, sample_field,
+    log_coupling, log_coupling_bound_gap, sample_field,
     validate_params, well_lower_bound,
 )
 from fracwell import variational
@@ -17,6 +18,8 @@ from fracwell.params import ParamError
 from fracwell.variational import embedding_bound_constant
 
 from conftest import random_pair
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +82,31 @@ class TestEnergyReport:
 
     def test_psi_selector(self, grid2, ops_params, unit_kirchhoff):
         u = GridField(grid2, np.array([1.0, 0.0]))
-        assert nehari_psi(u, u, ops_params, unit_kirchhoff, unit_kirchhoff,
-                          "consistent") == pytest.approx(2.0)
-        assert nehari_psi(u, u, ops_params, unit_kirchhoff, unit_kirchhoff,
-                          "printed") == pytest.approx(4.0)
+        rep = energy_report(u, u, ops_params, unit_kirchhoff, unit_kirchhoff)
+        assert rep.psi("consistent") == pytest.approx(2.0)
+        assert rep.psi("printed") == pytest.approx(4.0)
         with pytest.raises(ValueError, match="variant"):
-            nehari_psi(u, u, ops_params, unit_kirchhoff, unit_kirchhoff, "both")
+            rep.psi("both")
+
+
+class TestBatchedRay:
+    @pytest.mark.parametrize("K", [
+        KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25),
+        KirchhoffFn.log1p(beta=1.0),
+        KirchhoffFn.from_table([0.1, 0.5, 2.0, 10.0], [1.0, 1.2, 2.0, 3.0], beta=0.5),
+    ], ids=["affine_power", "log1p", "table"])
+    def test_stack_at_ones_equals_energy_reports_bitwise(self, grid32, flagship_params, K):
+        # a trace evaluates its rows as one stacked ray at eps = 1; each row
+        # must be the pair's energy report to the last bit
+        pairs = [tuple(w.scaled(a) for w in random_pair(grid32, 60 + k))
+                 for k, a in enumerate(np.geomspace(0.05, 15.0, 48))]
+        rays = FiberingRay.stack([FiberingRay.from_pair(u, v, flagship_params, K, K)
+                                  for u, v in pairs])
+        reports = [energy_report(u, v, flagship_params, K, K) for u, v in pairs]
+        ones = np.ones(len(pairs))
+        for name in ("phi", "psi_consistent", "psi_printed"):
+            want = np.array([getattr(rep, name) for rep in reports])
+            assert getattr(rays, name)(ones).tobytes() == want.tobytes(), name
 
 
 class TestFibering:
@@ -185,13 +207,13 @@ class TestFibering:
         u, v = random_pair(grid32, 5)
         for eps in (0.5, 1.0, 2.0):
             d = 1e-6 * eps
-            hi = energy_phi(u.scaled(eps + d), v.scaled(eps + d), flagship_params,
-                            unit_kirchhoff, unit_kirchhoff)
-            lo = energy_phi(u.scaled(eps - d), v.scaled(eps - d), flagship_params,
-                            unit_kirchhoff, unit_kirchhoff)
-            fd = (hi - lo) / (2 * d)
-            psi = nehari_psi(u.scaled(eps), v.scaled(eps), flagship_params,
-                             unit_kirchhoff, unit_kirchhoff, "consistent")
+            hi = energy_report(u.scaled(eps + d), v.scaled(eps + d), flagship_params,
+                               unit_kirchhoff, unit_kirchhoff)
+            lo = energy_report(u.scaled(eps - d), v.scaled(eps - d), flagship_params,
+                               unit_kirchhoff, unit_kirchhoff)
+            fd = (hi.phi - lo.phi) / (2 * d)
+            psi = energy_report(u.scaled(eps), v.scaled(eps), flagship_params,
+                                unit_kirchhoff, unit_kirchhoff).psi("consistent")
             assert fd == pytest.approx(psi / eps, rel=1e-5)
 
 
@@ -218,6 +240,25 @@ class TestWellDepth:
         with pytest.raises(ParamError, match="well-regime"):
             estimate_well_depth(grid32, ops_params, unit_kirchhoff, unit_kirchhoff,
                                 directions=5, seed=0)
+
+    def test_constant_pair_on_nehari_set_below_sampled_depth(self):
+        # the bracket sums over box x box, so a constant field has zero
+        # seminorm: u = v = 1 lies on the Nehari set with phi = |U|/sigma^2,
+        # about 15x below the depth sampled over edge-vanishing directions
+        cfg = ExperimentConfig.load(CONFIGS / "decay.json")
+        params, grid = cfg.build_params(), cfg.build_grid()
+        Kp, Kq = cfg.build_kirchhoff()
+        one = sample_field(grid, "constant", 1.0)
+        rep = energy_report(one, one, params, Kp, Kq)
+        assert rep.psi_consistent == 0.0
+        star = find_epsilon_star(one, one, params, Kp, Kq)
+        assert star.value == 1.0 and star.iterations == 0
+        assert rep.phi == grid.box_measure / params.sigma ** 2 == 0.0625
+        wd = cfg.well_depth
+        d = estimate_well_depth(grid, params, Kp, Kq, directions=wd["directions"],
+                                seed=cfg.seed, modes=wd["modes"]).d
+        assert d == pytest.approx(0.934, abs=5e-4)
+        assert 14.0 < d / rep.phi < 16.0
 
 
 class TestThresholds:
@@ -297,8 +338,8 @@ class TestClassification:
         u = sample_field(grid48, "sine", 1.0)
         amps = np.geomspace(0.05, 20.0, 60)
         psis = np.array([
-            nehari_psi(u.scaled(a), u.scaled(a), flagship_params, unit_kirchhoff,
-                       unit_kirchhoff, "consistent")
+            energy_report(u.scaled(a), u.scaled(a), flagship_params, unit_kirchhoff,
+                          unit_kirchhoff).psi_consistent
             for a in amps
         ])
         signs = np.sign(psis)
