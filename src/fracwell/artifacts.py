@@ -27,11 +27,15 @@ TRACE_COLUMNS = tuple(
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write through a temporary sibling, with the mode a plain ``open`` gives."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -85,11 +89,10 @@ def write_trace_csv(path: str | Path, trace: SimTrace) -> None:
     atomic_write_text(path, _csv_text(TRACE_COLUMNS, zip(*(cols[c] for c in TRACE_COLUMNS))))
 
 
-def write_fibering_csv(path: str | Path, rows: list[dict]) -> None:
-    header = ["eps", "phi", "psi_consistent", "psi_printed"]
-    atomic_write_text(
-        path, _csv_text(header, [[row[k] for k in header] for row in rows])
-    )
+def write_fibering_csv(path: str | Path, cols: dict[str, np.ndarray]) -> None:
+    """The columns of ``FiberingRay.scan``, one row per eps."""
+    header = ("eps", "phi", "psi_consistent", "psi_printed")
+    atomic_write_text(path, _csv_text(header, zip(*(cols[c] for c in header))))
 
 
 def write_well_samples_csv(path: str | Path, estimate: WellEstimate) -> None:

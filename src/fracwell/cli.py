@@ -91,18 +91,17 @@ def cmd_simulate(args) -> int:
     fit = None
     if trace.outcome.kind == "CompletedHorizon":
         fit = dynamics.decay_fit(trace)
+    cls_json = cls.to_json_dict()
     outcome_payload = trace.outcome.to_json_dict()
-    outcome_payload["t_max_bound"] = (
-        None if math.isinf(cls.t_max_bound) else cls.t_max_bound
-    )
+    outcome_payload["t_max_bound"] = cls_json["t_max_bound"]
     outcome_payload["decay_fit"] = None if fit is None else dataclasses.asdict(fit)
     artifacts.write_json(run_dir / "outcome.json", outcome_payload)
 
     summary = {
-        "classification": cls.to_json_dict(),
+        "classification": cls_json,
         "outcome": trace.outcome.to_json_dict(),
         "decay_fit": None if fit is None else dataclasses.asdict(fit),
-        "bound_comparisons": _bound_comparisons(cls, trace, fit),
+        "bound_comparisons": _bound_comparisons(cls_json, trace, fit),
         "well_depth": {"d": est.d, "samples": est.sample_count,
                        "bracketing_failures": est.bracketing_failures},
         "residual_max_abs": (
@@ -118,12 +117,12 @@ def cmd_simulate(args) -> int:
     return EXIT_BLOWUP if trace.outcome.kind == "BlowUp" else EXIT_OK
 
 
-def _bound_comparisons(cls, trace, fit) -> dict:
+def _bound_comparisons(cls_json, trace, fit) -> dict:
     """Always pairs of numbers, never a bare verdict."""
     out = {}
     out["t_detect_vs_t_max_bound"] = {
         "t_detect": trace.outcome.t if trace.outcome.kind == "BlowUp" else None,
-        "t_max_bound": None if math.isinf(cls.t_max_bound) else cls.t_max_bound,
+        "t_max_bound": cls_json["t_max_bound"],
     }
     out["fitted_vs_predicted_decay"] = {
         "fitted_kind": None if fit is None else fit.kind,
@@ -142,40 +141,33 @@ def _emit_plots(run_dir, cfg, params, Kp, Kq, u0, v0, trace):
              title="energy vs time (log)", xlabel="t", ylabel="phi", ylog=True)
     plot_svg(run_dir / "mass.svg", [Series(ts, mass, "|u|^2+|v|^2")],
              title="squared-norm sum vs time", xlabel="t", ylabel="mass")
-    try:
+    if u0.max_abs() > 0.0 or v0.max_abs() > 0.0:  # a zero pair has no fibering ray
         _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0,
                             eps_lo=1e-2, eps_hi=1e2, count=121)
-    except (ValueError, variational.BracketingError):
-        pass  # zero pair etc.: the scan is auxiliary to a simulate run
 
 
 def _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0, eps_lo, eps_hi, count):
-    eps_grid = np.exp(np.linspace(math.log(eps_lo), math.log(eps_hi), count))
-    # one ray of the pair serves the scan, eps* and its mark
-    ray, rows = variational._scan_pair(u0, v0, params, Kp, Kq, eps_grid)
-    artifacts.write_fibering_csv(run_dir / "fibering.csv", rows)
+    """Write the scan of the initial pair's ray and its plot, with eps* marked."""
+    ray = variational.FiberingRay.from_pair(u0, v0, params, Kp, Kq)
+    cols = ray.scan(np.exp(np.linspace(math.log(eps_lo), math.log(eps_hi), count)))
+    artifacts.write_fibering_csv(run_dir / "fibering.csv", cols)
     marks = []
     note = ""
     try:
-        star = variational._epsilon_star(ray, cfg.psi_variant)
+        star = ray.epsilon_star(cfg.psi_variant)
         if eps_lo <= star.value <= eps_hi:
             marks.append((star.value, ray.phi(star.value), "eps*"))
         else:
             note = " (eps* outside scanned range)"
     except variational.BracketingError:
         note = " (eps* not bracketed)"
-    es = np.array([r["eps"] for r in rows])
     plot_svg(
         run_dir / "fibering.svg",
-        [
-            Series(es, np.array([r["phi"] for r in rows]), "phi"),
-            Series(es, np.array([r["psi_consistent"] for r in rows]), "psi_consistent"),
-            Series(es, np.array([r["psi_printed"] for r in rows]), "psi_printed"),
-        ],
+        [Series(cols["eps"], cols[name], name)
+         for name in ("phi", "psi_consistent", "psi_printed")],
         title="fibering scan" + note, xlabel="eps", ylabel="value", xlog=True,
         marks=marks,
     )
-    return rows
 
 
 def cmd_fibering(args) -> int:
@@ -183,9 +175,11 @@ def cmd_fibering(args) -> int:
     params, grid, Kp, Kq, u0, v0 = _setup(cfg)
     run_dir = cfg.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    rows = _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0,
-                               args.eps_min, args.eps_max, args.points)
-    print(f"fibering scan with {len(rows)} points written to {run_dir}")
+    if u0.max_abs() == 0.0 and v0.max_abs() == 0.0:
+        raise ValueError("fibering scan needs a nonzero pair")
+    _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0,
+                        args.eps_min, args.eps_max, args.points)
+    print(f"fibering scan with {args.points} points written to {run_dir}")
     return EXIT_OK
 
 

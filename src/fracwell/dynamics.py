@@ -76,6 +76,8 @@ _DP_A = (
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
+_GROWTH_FACTOR = 10.0   # dt-floor counts as blow-up past this much max-abs growth
+
 
 @dataclass(frozen=True)
 class IntegratorControls:
@@ -85,7 +87,6 @@ class IntegratorControls:
     rtol: float = 1e-8
     blowup_threshold: float = 1e8
     dt_max: float | None = None
-    growth_factor: float = 10.0   # dt-floor counts as blow-up past this much max-abs growth
 
     def __post_init__(self):
         for name in ("t_end", "dt_init", "dt_min", "rtol", "blowup_threshold"):
@@ -154,20 +155,20 @@ def integrate(
     fibering rays of the rows at eps = 1.  Termination:
     the horizon t_end (CompletedHorizon); max-abs beyond the blow-up threshold
     or non-finite values (BlowUp, norm_threshold); step size under dt_min
-    (BlowUp with trigger dt_floor when max-abs grew by the configured factor,
+    (BlowUp with trigger dt_floor when max-abs grew by ``_GROWTH_FACTOR``,
     StepUnderflow otherwise).
     """
     n = u0.domain.node_count
     domain = u0.domain
+    hN = domain.cell_measure
 
     def f(y: np.ndarray) -> np.ndarray:
         du, dv = rhs(GridField(domain, y[:n]), GridField(domain, y[n:]),
                      params, K_p, K_q)
         return np.concatenate([du.values, dv.values])
 
-    def gval(fy: np.ndarray) -> float:
-        hN = domain.cell_measure
-        return float(np.sum(fy[:n] ** 2) * hN + np.sum(fy[n:] ** 2) * hN)
+    def sq_norm(w: np.ndarray) -> float:
+        return float(np.sum(w ** 2) * hN)
 
     y = np.concatenate([u0.values, v0.values])
     initial_maxabs = float(np.max(np.abs(y)))
@@ -178,12 +179,11 @@ def integrate(
     def snapshot(t, dt, y, fy, D):
         uf = GridField(domain, y[:n])
         vf = GridField(domain, y[n:])
-        hN = domain.cell_measure
         rows.append(dict(
             t=t, dt=dt, **_ray_sums(uf, vf, params),
             l2_u=discrete_norm(uf, 2.0), l2_v=discrete_norm(vf, 2.0),
             maxabs_u=uf.max_abs(), maxabs_v=vf.max_abs(), D=D,
-            ut_sq=float(np.sum(fy[:n] ** 2) * hN), vt_sq=float(np.sum(fy[n:] ** 2) * hN),
+            ut_sq=sq_norm(fy[:n]), vt_sq=sq_norm(fy[n:]),
         ))
 
     k1 = f(y)
@@ -219,7 +219,8 @@ def integrate(
         if err <= tol:
             t += dt
             # same-tableau stage quadrature of the dissipation integrand
-            incr = dt * sum(b * gval(k) for b, k in zip(_DP_B5, ks) if b)
+            incr = dt * sum(b * (sq_norm(k[:n]) + sq_norm(k[n:]))
+                            for b, k in zip(_DP_B5, ks) if b)
             D += max(incr, 0.0)
             y = y5
             k1 = ks[6]
@@ -234,7 +235,7 @@ def integrate(
             dt = min(dt, controls.dt_max)
         if dt < controls.dt_min:
             maxabs = float(np.max(np.abs(y)))
-            if maxabs > controls.growth_factor * max(initial_maxabs, 1e-300):
+            if maxabs > _GROWTH_FACTOR * max(initial_maxabs, 1e-300):
                 return finish("BlowUp", t, "dt_floor")
             return finish("StepUnderflow", t)
 

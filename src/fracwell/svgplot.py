@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_write_text
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 36, 52
@@ -145,5 +147,4 @@ def plot_svg(
         out.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" fill="#d62728"/>')
         out.append(f'<text x="{px+6:.1f}" y="{py-6:.1f}">{label}</text>')
     out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out))
+    atomic_write_text(path, "\n".join(out))

@@ -213,12 +213,12 @@ def suite_fibering(seed=106, pairs=8, psi_variant="consistent") -> SuiteResult:
     rng = np.random.default_rng(seed)
     for k in range(pairs):
         u, v = _random_pair(grid, rng)
+        ray = FiberingRay.from_pair(u, v, params, Kp, Kq)
         try:
-            star = variational.find_epsilon_star(u, v, params, Kp, Kq, variant=psi_variant)
+            star = ray.epsilon_star(psi_variant)
         except variational.BracketingError as exc:
             res.fail(f"pair {k}: {exc}")
             continue
-        ray = FiberingRay.from_pair(u, v, params, Kp, Kq)
         res.checks += 1
         if abs(star.residual) > 1e-8 * (star.residual_scale + 1e-300):
             res.fail(f"pair {k}: root residual too large: {star.residual}")
@@ -242,7 +242,7 @@ def suite_fibering(seed=106, pairs=8, psi_variant="consistent") -> SuiteResult:
                 )
         # the ray maximum sits at eps*
         scan = np.exp(np.linspace(np.log(star.value / 8), np.log(star.value * 8), 400))
-        vals = np.array([ray.phi(e) for e in scan])
+        vals = ray.phi(scan)
         res.checks += 1
         imax = int(np.argmax(vals))
         cell = scan[min(imax + 1, len(scan) - 1)] / scan[max(imax - 1, 0)]
@@ -251,18 +251,44 @@ def suite_fibering(seed=106, pairs=8, psi_variant="consistent") -> SuiteResult:
     return res
 
 
+def _sampled_well(grid, seed):
+    return variational.estimate_well_depth(grid, _flagship_params(), _unit_kirchhoff(),
+                                           _unit_kirchhoff(), directions=40, seed=seed)
+
+
 def suite_well_depth(seed=107) -> SuiteResult:
     res = _result("well-depth-positive")
-    params = _flagship_params()
-    grid = build_grid(1.0, 32)
-    est = variational.estimate_well_depth(grid, params, _unit_kirchhoff(), _unit_kirchhoff(),
-                                          directions=40, seed=seed)
+    est = _sampled_well(build_grid(1.0, 32), seed)
     res.checks += est.sample_count
     if est.d <= 0:
         res.fail(f"well depth estimate not positive: {est.d}")
     bad = [s for s in est.samples if not s.phi_at_star > 0]
     if bad:
         res.fail(f"{len(bad)} sampled Nehari values non-positive")
+    return res
+
+
+def suite_constant_pair(seed=107) -> SuiteResult:
+    # a constant has zero seminorm: u = v = 1 is a Nehari point with phi = |U|/sigma^2
+    res = _result("constant-pair-nehari")
+    params = _flagship_params()
+    K = _unit_kirchhoff()
+    grid = build_grid(1.0, 32)
+    one = sample_field(grid, "constant", 1.0)
+    ray = FiberingRay.from_pair(one, one, params, K, K)
+    star = ray.epsilon_star()
+    phi = ray.phi(1.0)
+    d = _sampled_well(grid, seed).d
+    res.checks += 4
+    if ray.psi_consistent(1.0) != 0.0:
+        res.fail(f"psi_consistent = {ray.psi_consistent(1.0)!r} != 0")
+    if not (star.value == 1.0 and star.iterations == 0):
+        res.fail(f"eps* = {star.value!r} after {star.iterations} iterations, not 1 after 0")
+    if phi != grid.box_measure / params.sigma ** 2:
+        res.fail(f"phi = {phi!r} != |U|/sigma^2")
+    if not phi < d:
+        res.fail(f"phi = {phi!r} not below the sampled d = {d!r}")
+    res.notes.append(f"sampled d / constant-pair phi = {d / phi:.4g}")
     return res
 
 
@@ -413,6 +439,7 @@ SUITES = {
     "operator-kernels": suite_operator,
     "fibering-map": suite_fibering,
     "well-depth-positive": suite_well_depth,
+    "constant-pair-nehari": suite_constant_pair,
     "well-lower-bound": suite_well_bound,
     "log-coupling-bound": suite_log_bound,
     "tail-decay-criterion": suite_tail_decay,

@@ -67,47 +67,40 @@ def _masked_log_product(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nd
     return out, mask
 
 
-def coupling_mass(u: GridField, v: GridField, sigma: float) -> float:
-    """integral over the box of |u|^sigma |v|^sigma."""
+def _couplings(u: GridField, v: GridField, sigma: float) -> dict[str, float]:
+    """The four coupling integrals of (u, v), by field name, from one masked
+    log: |u|^sigma |v|^sigma and |uv|^(sigma+1), each alone and times log|uv|."""
     if u.domain != v.domain:
         raise GridError("coupling integrals need a shared domain")
+    lg, mask = _masked_log_product(u.values, v.values)
+    au, av = np.abs(u.values), np.abs(v.values)
+    c = au ** sigma * av ** sigma
+    hi = (au * av) ** (sigma + 1.0)
     hN = u.domain.cell_measure
-    return float(np.sum(np.abs(u.values) ** sigma * np.abs(v.values) ** sigma) * hN)
+    return dict(coupling_mass=float(np.sum(c) * hN),
+                log_coupling=float(np.sum(c[mask] * lg[mask]) * hN),
+                coupling_high=float(np.sum(hi) * hN),
+                log_coupling_high=float(np.sum(hi[mask] * lg[mask]) * hN))
+
+
+def coupling_mass(u: GridField, v: GridField, sigma: float) -> float:
+    """integral over the box of |u|^sigma |v|^sigma."""
+    return _couplings(u, v, sigma)["coupling_mass"]
 
 
 def log_coupling(u: GridField, v: GridField, sigma: float) -> float:
     """integral of |u|^sigma |v|^sigma log|uv|, with 0 where u v = 0."""
-    return _log_couplings(u, v, sigma)[0]
-
-
-def _log_couplings(u: GridField, v: GridField, sigma: float) -> tuple[float, float, float]:
-    """(integral |u|^sigma |v|^sigma log|uv|, integral |uv|^(sigma+1),
-    integral |uv|^(sigma+1) log|uv|), from one masked log."""
-    if u.domain != v.domain:
-        raise GridError("coupling integrals need a shared domain")
     if sigma <= 1.0:
         raise ParamError(f"coupling exponent must exceed 1, got {sigma}")
-    lg, mask = _masked_log_product(u.values, v.values)
-    hN = u.domain.cell_measure
-    vals = np.abs(u.values[mask]) ** sigma * np.abs(v.values[mask]) ** sigma * lg[mask]
-    pw = (np.abs(u.values[mask]) * np.abs(v.values[mask])) ** (sigma + 1.0)
-    return (float(np.sum(vals) * hN),
-            float(np.sum((np.abs(u.values) * np.abs(v.values)) ** (sigma + 1.0)) * hN),
-            float(np.sum(pw * lg[mask]) * hN))
+    return _couplings(u, v, sigma)["log_coupling"]
 
 
 def _ray_sums(u: GridField, v: GridField, params: ModelParams) -> dict[str, float]:
-    """The six sums a ``FiberingRay`` holds, by field name.
-
-    Both brackets come from one pair pass, the three log couplings from one
-    masked log; each value is bit-identical to its public function.
-    """
-    p, q, sig = params.p, params.q, params.sigma
+    """The six sums a ``FiberingRay`` holds, by field name: both brackets from
+    one pair pass, the four coupling integrals from ``_couplings``."""
+    p, q = params.p, params.q
     (_, gag_u), (_, gag_v) = pair_pass(u, p, v, q, params.s, operator=False)
-    c0 = coupling_mass(u, v, sig)
-    l0, chi, lchi = _log_couplings(u, v, sig)
-    return dict(bracket_u=gag_u / p, bracket_v=gag_v / q, coupling_mass=c0,
-                log_coupling=l0, coupling_high=chi, log_coupling_high=lchi)
+    return dict(bracket_u=gag_u / p, bracket_v=gag_v / q, **_couplings(u, v, params.sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +116,21 @@ def _libm_pow(eps, e: float):
 
 _RAY_SUMS = ("bracket_u", "bracket_v", "coupling_mass", "log_coupling",
              "coupling_high", "log_coupling_high")
+
+
+def _psi_name(variant: str) -> str:
+    """The attribute that holds the given Nehari variant."""
+    if variant not in ("consistent", "printed"):
+        raise ValueError(f"unknown psi variant {variant!r}")
+    return "psi_" + variant
+
+
+@dataclass(frozen=True)
+class EpsilonStar:
+    value: float
+    residual: float
+    residual_scale: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -198,16 +206,38 @@ class FiberingRay:
         return k_eval(self.K_p, A) * (p * A) + k_eval(self.K_q, B) * (q * B) - 2.0 * high
 
     def psi(self, eps: float, variant: str = "consistent") -> float:
-        if variant == "consistent":
-            return self.psi_consistent(eps)
-        if variant == "printed":
-            return self.psi_printed(eps)
-        raise ValueError(f"unknown psi variant {variant!r}")
+        return getattr(self, _psi_name(variant))(eps)
 
     def psi_scale(self, eps: float) -> float:
         """Magnitude of the two coefficient terms; reference scale for residuals."""
         A, B = self.scaled_brackets(eps)
         return abs(k_eval(self.K_p, A) * A) + abs(k_eval(self.K_q, B) * B)
+
+    def scan(self, eps_grid: Sequence[float]) -> dict[str, np.ndarray]:
+        """Columns eps, phi, psi_consistent and psi_printed on a positive,
+        strictly increasing eps grid: one array call per functional, equal bit
+        for bit to the scalar calls and, by homogeneity, to direct evaluation
+        at the scaled fields up to about 1e-14 relative."""
+        eps = np.asarray(list(eps_grid), dtype=float)
+        if eps.size == 0:
+            raise ValueError("empty eps grid")
+        if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
+            raise ValueError("eps grid must be positive and strictly increasing")
+        return dict(eps=eps, phi=self.phi(eps), psi_consistent=self.psi_consistent(eps),
+                    psi_printed=self.psi_printed(eps))
+
+    def epsilon_star(self, variant: str = "consistent", eps_min: float = 1e-8,
+                     eps_max: float = 1e8, rel_tol: float = 1e-10) -> EpsilonStar:
+        """Critical scale of this ray (see ``find_epsilon_star``): the batch
+        projection ``_project_rays`` on a batch of one, with psi at eps*."""
+        star, iters, side = _project_rays(FiberingRay.stack([self]), variant,
+                                          eps_min, eps_max, rel_tol)
+        if side[0]:
+            raise BracketingError(
+                f"fibering root not bracketed {'above' if side[0] > 0 else 'below'}")
+        value = float(star[0])
+        return EpsilonStar(value, self.psi(value, variant), self.psi_scale(value),
+                           int(iters[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +261,7 @@ class EnergyReport:
     l2_v: float
 
     def psi(self, variant: str = "consistent") -> float:
-        if variant == "consistent":
-            return self.psi_consistent
-        if variant == "printed":
-            return self.psi_printed
-        raise ValueError(f"unknown psi variant {variant!r}")
+        return getattr(self, _psi_name(variant))
 
 
 def energy_report(
@@ -259,43 +285,12 @@ def fibering_scan(
     K_p: KirchhoffFn,
     K_q: KirchhoffFn,
     eps_grid: Sequence[float],
-) -> list[dict]:
-    """Functional evaluations at the scaled pairs (eps u, eps v).
-
-    Each row holds eps, phi, and both Nehari variants, evaluated on the
-    fibering ray of (u, v): the pairwise sums are computed once and each eps
-    costs O(1).  Homogeneity makes this exact up to rounding; the values agree
-    with direct evaluation at the scaled fields to about 1e-14 relative.  No
-    interpolation is performed.  The grid must be positive and sorted
-    ascending.
-    """
-    return _scan_pair(u, v, params, K_p, K_q, eps_grid)[1]
-
-
-def _scan_pair(u, v, params, K_p, K_q, eps_grid) -> tuple[FiberingRay, list[dict]]:
-    """``fibering_scan``, which also returns the ray it evaluated."""
-    eps_arr = np.asarray(list(eps_grid), dtype=float)
-    if eps_arr.size == 0:
-        raise ValueError("empty eps grid")
-    if np.any(eps_arr <= 0) or np.any(np.diff(eps_arr) <= 0):
-        raise ValueError("eps grid must be positive and strictly increasing")
+) -> dict[str, np.ndarray]:
+    """Functional evaluations at the scaled pairs (eps u, eps v) of a nonzero
+    pair: the columns of ``FiberingRay.scan`` on the fibering ray of (u, v)."""
     if u.max_abs() == 0.0 and v.max_abs() == 0.0:
         raise ValueError("fibering scan needs a nonzero pair")
-    ray = FiberingRay.from_pair(u, v, params, K_p, K_q)
-    return ray, [
-        dict(eps=float(eps), phi=float(ray.phi(eps)),
-             psi_consistent=float(ray.psi_consistent(eps)),
-             psi_printed=float(ray.psi_printed(eps)))
-        for eps in eps_arr
-    ]
-
-
-@dataclass(frozen=True)
-class EpsilonStar:
-    value: float
-    residual: float
-    residual_scale: float
-    iterations: int
+    return FiberingRay.from_pair(u, v, params, K_p, K_q).scan(eps_grid)
 
 
 def find_epsilon_star(
@@ -320,18 +315,7 @@ def find_epsilon_star(
     if u.max_abs() == 0.0 and v.max_abs() == 0.0:
         raise BracketingError("fibering root not bracketed: zero pair")
     ray = FiberingRay.from_pair(u, v, params, K_p, K_q)
-    return _epsilon_star(ray, variant, eps_min, eps_max, rel_tol)
-
-
-def _epsilon_star(ray, variant, eps_min=1e-8, eps_max=1e8, rel_tol=1e-10) -> EpsilonStar:
-    """``_project_rays`` on a batch of one, with the residual at eps*."""
-    star, iters, side = _project_rays(FiberingRay.stack([ray]), variant,
-                                      eps_min, eps_max, rel_tol)
-    if side[0]:
-        raise BracketingError(
-            f"fibering root not bracketed {'above' if side[0] > 0 else 'below'}")
-    value = float(star[0])
-    return EpsilonStar(value, ray.psi(value, variant), ray.psi_scale(value), int(iters[0]))
+    return ray.epsilon_star(variant, eps_min, eps_max, rel_tol)
 
 
 def _project_rays(ray: FiberingRay, variant: str, eps_min: float = 1e-8,
@@ -450,15 +434,13 @@ def _normalized(u: GridField) -> GridField | None:
     return u.scaled(1.0 / n)
 
 
-def direction_pairs(grid: GridDomain, count: int, seed: int, modes: int = 6,
-                    include_presets: bool = True):
-    """Deterministic stream of normalized direction pairs for well sampling."""
-    if include_presets:
-        sine = _normalized(sample_field(grid, "sine"))
-        bump = _normalized(sample_field(grid, "bump"))
-        yield "preset:sine-sine", FieldPair(sine, sine)
-        yield "preset:bump-bump", FieldPair(bump, bump)
-        yield "preset:sine-bump", FieldPair(sine, bump)
+def direction_pairs(grid: GridDomain, count: int, seed: int, modes: int = 6):
+    """Three preset direction pairs, then up to ``count`` random ones, all normalized."""
+    sine = _normalized(sample_field(grid, "sine"))
+    bump = _normalized(sample_field(grid, "bump"))
+    yield "preset:sine-sine", FieldPair(sine, sine)
+    yield "preset:bump-bump", FieldPair(bump, bump)
+    yield "preset:sine-bump", FieldPair(sine, bump)
     root = np.random.SeedSequence(seed)
     for k, child in enumerate(root.spawn(count)):
         rng = np.random.default_rng(child)
@@ -477,7 +459,6 @@ def estimate_well_depth(
     directions: int = 200,
     seed: int = 0,
     modes: int = 6,
-    include_presets: bool = True,
     refine_iters: int = 0,
     variant: str = "consistent",
 ) -> WellEstimate:
@@ -491,13 +472,11 @@ def estimate_well_depth(
     """
     if not params.well_regime:
         raise ParamError("well depth needs admissible (well-regime) parameters")
-    drawn = list(direction_pairs(grid, directions, seed, modes, include_presets))
-    found = np.zeros(0, dtype=int)
-    if drawn:
-        rays = FiberingRay.stack([FiberingRay.from_pair(pair.u, pair.v, params, K_p, K_q)
-                                  for _, pair in drawn])
-        star, _, side = _project_rays(rays, variant)
-        found = np.flatnonzero(side == 0)
+    drawn = list(direction_pairs(grid, directions, seed, modes))
+    rays = FiberingRay.stack([FiberingRay.from_pair(pair.u, pair.v, params, K_p, K_q)
+                              for _, pair in drawn])
+    star, _, side = _project_rays(rays, variant)
+    found = np.flatnonzero(side == 0)
     if not found.size:
         raise BracketingError("no Nehari point found in any sampled direction")
     samples: list[WellSample] = []
@@ -512,26 +491,22 @@ def estimate_well_depth(
     refine_done = 0
     if refine_iters > 0 and best_pair is not None:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD)))
-        uvals = best_pair.u.values.copy()
-        vvals = best_pair.v.values.copy()
         step = 0.05
         for it in range(refine_iters):
             which = rng.integers(2)
             idx = rng.integers(grid.node_count)
             delta = step * rng.choice((-1.0, 1.0))
-            cand_u, cand_v = uvals.copy(), vvals.copy()
-            (cand_u if which == 0 else cand_v)[idx] += delta
-            pair_c = FieldPair(GridField(grid, cand_u), GridField(grid, cand_v))
+            cand = [best_pair.u.values.copy(), best_pair.v.values.copy()]
+            cand[which][idx] += delta
+            pair_c = FieldPair(GridField(grid, cand[0]), GridField(grid, cand[1]))
             ray_c = FiberingRay.from_pair(pair_c.u, pair_c.v, params, K_p, K_q)
             try:
-                star_c = _epsilon_star(ray_c, variant)
+                star_c = ray_c.epsilon_star(variant)
             except BracketingError:
                 continue
             val_c = ray_c.phi(star_c.value)
             if val_c < best_val:
-                best_val = val_c
-                uvals, vvals = cand_u, cand_v
-                best_pair = pair_c
+                best_val, best_pair = val_c, pair_c
                 refine_done += 1
         samples.append(WellSample("refined", float("nan"), best_val))
 
@@ -596,18 +571,9 @@ class Classification:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "phi0": self.phi0,
-            "psi0": self.psi0,
-            "psi_variant": self.psi_variant,
-            "d": self.d,
-            "d_star": self.d_star,
-            "predicted_decay": self.predicted_decay,
-            "decay_exponent": self.decay_exponent,
-            "t_max_bound": None if math.isinf(self.t_max_bound) else self.t_max_bound,
-            "note": self.note,
-        }
+        out = dataclasses.asdict(self)
+        out["t_max_bound"] = None if math.isinf(self.t_max_bound) else self.t_max_bound
+        return out
 
 
 def classify_initial_data(
@@ -635,25 +601,18 @@ def classify_initial_data(
         )
     rep = energy_report(u0, v0, params, K_p, K_q)
     phi0, psi0 = rep.phi, rep.psi(variant)
+    verdict, kind, expo, bound = "Indeterminate", "n/a", None, math.inf
+    note = "phi0 >= d_star: hypotheses not met"
     if phi0 < d_star and psi0 >= 0.0:
+        verdict, note = "GlobalDecay", "relative to estimated d"
         kind = "exponential" if params.exponential_regime else "polynomial"
         expo = None if params.exponential_regime else params.poly_decay_exponent
-        return Classification(
-            verdict="GlobalDecay", phi0=phi0, psi0=psi0, psi_variant=variant,
-            d=d, d_star=d_star, predicted_decay=kind, decay_exponent=expo,
-            t_max_bound=math.inf, note="relative to estimated d",
-        )
-    if phi0 < d_star and psi0 < 0.0:
+    elif phi0 < d_star and psi0 < 0.0:
+        verdict, note = "BlowUp", "relative to estimated d"
         bound = blowup_time_bound(u0, v0, phi0, d_star, params.sigma)
-        return Classification(
-            verdict="BlowUp", phi0=phi0, psi0=psi0, psi_variant=variant,
-            d=d, d_star=d_star, predicted_decay="n/a", decay_exponent=None,
-            t_max_bound=bound, note="relative to estimated d",
-        )
     return Classification(
-        verdict="Indeterminate", phi0=phi0, psi0=psi0, psi_variant=variant,
-        d=d, d_star=d_star, predicted_decay="n/a", decay_exponent=None,
-        t_max_bound=math.inf, note="phi0 >= d_star: hypotheses not met",
+        verdict=verdict, phi0=phi0, psi0=psi0, psi_variant=variant, d=d, d_star=d_star,
+        predicted_decay=kind, decay_exponent=expo, t_max_bound=bound, note=note,
     )
 
 
@@ -669,40 +628,23 @@ def estimate_embedding_constant(
     samples: int = 48,
     seed: int = 0,
     modes: int = 6,
-    ascent_iters: int = 0,
 ) -> float:
     """Lower bound on the best constant of the seminorm -> L^r embedding.
 
     Maximizes discrete_norm(u, r) / gagliardo_sum(u, p, s)^(1/p) over preset
-    and random smooth fields, optionally improved by nodal hill climbing.
-    The true constant is a supremum over all fields, so the sampled maximum
-    is a lower bound; results are not certified.
+    and random smooth fields.  The true constant is a supremum over all
+    fields, so the sampled maximum is a lower bound; results are not certified.
     """
-    def ratio(vals: np.ndarray) -> float:
-        u = GridField(grid, vals)
+    def ratio(u: GridField) -> float:
         g = gagliardo_sum(u, p, s)
         if g <= 0.0:
             return -math.inf
         return discrete_norm(u, r) / g ** (1.0 / p)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    candidates = [sample_field(grid, "sine").values, sample_field(grid, "bump").values]
-    for _ in range(samples):
-        candidates.append(_random_smooth_field(grid, rng, modes).values)
-    best_vals, best = None, -math.inf
-    for vals in candidates:
-        val = ratio(vals)
-        if val > best:
-            best, best_vals = val, vals
-    for _ in range(ascent_iters):
-        idx = rng.integers(grid.node_count)
-        delta = 0.05 * rng.choice((-1.0, 1.0)) * (1.0 + abs(best_vals[idx]))
-        cand = best_vals.copy()
-        cand[idx] += delta
-        val = ratio(cand)
-        if val > best:
-            best, best_vals = val, cand
-    return best
+    fields = [sample_field(grid, "sine"), sample_field(grid, "bump")]
+    fields += [_random_smooth_field(grid, rng, modes) for _ in range(samples)]
+    return max(ratio(u) for u in fields)
 
 
 @dataclass(frozen=True)

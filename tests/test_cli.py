@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from fracwell import fracops, variational
 from fracwell.cli import main
 from fracwell.config import ConfigError, ExperimentConfig
+from fracwell.svgplot import Series, plot_svg
 
 
 def make_config(tmp_path, amplitude=0.5, t_end=2.0, seed=3, nodes=32, rtol=1e-7,
@@ -166,6 +169,31 @@ class TestSimulateCommand:
         phis = [float(line.split(",")[2]) for line in trace[1:]]
         assert phis[-1] < phis[0]
 
+    def test_artifacts_get_the_mode_of_a_plain_open(self, tmp_path, capsys):
+        umask = os.umask(0o022)
+        try:
+            assert main(["simulate", "--config", str(make_config(tmp_path, t_end=0.2))]) == 0
+        finally:
+            os.umask(umask)
+        files = sorted((tmp_path / "out" / "run-seed3").iterdir())
+        assert len(files) == 10
+        assert {f.name: stat.S_IMODE(f.stat().st_mode) for f in files} == {
+            f.name: 0o644 for f in files}
+
+    def test_failed_svg_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "plot.svg"
+        plot_svg(path, [Series([1.0, 2.0], [3.0, 4.0], "a")])
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            plot_svg(path, [Series([1.0, 2.0], [5.0, 6.0], "b")])
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["plot.svg"]
+
     def test_rerun_overwrites_deterministically(self, tmp_path, capsys):
         path = make_config(tmp_path)
         assert main(["simulate", "--config", str(path)]) == 0
@@ -253,6 +281,12 @@ class TestValidateCommand:
     def test_consistent_variant_passes(self, capsys):
         assert main(["validate", "--scope", "fibering"]) == 0
 
+    def test_constant_pair_suite(self, capsys):
+        assert main(["validate", "--scope", "constant-pair"]) == 0
+        out = capsys.readouterr().out
+        assert "[pass] constant-pair-nehari: 4 checks" in out
+        assert "note: sampled d / constant-pair phi = " in out
+
 
 def test_console_entry_point(tmp_path):
     path = make_config(tmp_path)
@@ -264,23 +298,34 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "GlobalDecay"
 
 
-# SHA-256 of the artifacts of ``fracwell simulate`` on each example config,
-# recorded before the trace became a set of columns and the energy report the
-# fibering ray at eps = 1 (numpy 2.4.6, Python 3.11, x86-64 Linux).  They pin
-# the exact bytes: another numpy or libm may round differently and change them.
+# SHA-256 of the artifacts of ``fracwell simulate`` (trace.csv, summary.json,
+# outcome.json, fibering.csv) and ``fracwell well-depth`` (well_samples.csv) on
+# each example config, recorded before the trace became a set of columns and
+# the energy report the fibering ray at eps = 1, and, for fibering.csv and
+# well_samples.csv, before the scan and eps* became methods of the ray
+# (numpy 2.4.6, Python 3.11, x86-64 Linux).  They pin the exact bytes: another
+# numpy or libm may round differently and change them.
 GOLDEN_SHA256 = {
     "decay": (
         "2dcdfc00be4aa2720e3510df67af95d41058c9f6ff647e4764712f17ba163e0a",
         "ebe13e005bb9e3bbd652218c85a9bbd7f214d83128ece3296fda1930a0d33a7d",
-        "a863db3cbd1f1f8571823caac27ec52853463c3c296b40f7cf8621bf4bc6e313"),
+        "a863db3cbd1f1f8571823caac27ec52853463c3c296b40f7cf8621bf4bc6e313",
+        "2881e2324aff43e3e616b5d316ee17e707df25773e3cef2af88cf4ea8f1a0d91"),
     "blowup": (
         "cbe2a461594acd390100f3ef0c0fe79c31589d146b4d188ce2758a612385cca8",
         "070ae7ae953b6e31c8b51688015290444b55bebc35db788c8aefb4cb5e7bc715",
-        "769f9558d36c8ae13df9a70a1f3f2e9b39c87e7e8c158f950b34ad8b9b31a965"),
+        "769f9558d36c8ae13df9a70a1f3f2e9b39c87e7e8c158f950b34ad8b9b31a965",
+        "e1b8b721cae889c5026393e595b7ed9ea4168467b332e2b3deb2e802d26a6412"),
     "kirchhoff_decay": (
         "0141a0f091cd3aeadbdf423a582d7ae0637d00439f1eb703f6d0bd69b6f98635",
         "0c17321a6b2a2b252d11c8dc880d8f6e9fc2db9054ac58114df5b096f967ffbf",
-        "2add94607c4f0ab2ca5be958f8091a79ac325fb19914e1b6b8571565c9a787d9"),
+        "2add94607c4f0ab2ca5be958f8091a79ac325fb19914e1b6b8571565c9a787d9",
+        "cb84c897d35f43a1ee7fd6a1cef74bc04cccf015c2cf1c0b80ead428e5fbb860"),
+}
+GOLDEN_WELL_SAMPLES_SHA256 = {
+    "decay": "64eb0b6c3eb44e07f319533e27a42388d4f0d8480d0b46ea8d5e9a73010cda66",
+    "blowup": "64eb0b6c3eb44e07f319533e27a42388d4f0d8480d0b46ea8d5e9a73010cda66",
+    "kirchhoff_decay": "b8ed51c1c08eae5ba6cef5fc3f34359ec5dbb72bd62ef2108a079e0a02e35466",
 }
 
 
@@ -291,5 +336,13 @@ def test_simulate_artifacts_match_golden_hashes(tmp_path, capsys, name):
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == expected_exit
     run_dir = tmp_path / "run-seed1"
     digests = tuple(hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
-                    for f in ("trace.csv", "summary.json", "outcome.json"))
+                    for f in ("trace.csv", "summary.json", "outcome.json", "fibering.csv"))
     assert digests == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WELL_SAMPLES_SHA256))
+def test_well_samples_match_golden_hashes(tmp_path, capsys, name):
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert main(["well-depth", "--config", str(config), "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "run-seed1" / "well_samples.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_WELL_SAMPLES_SHA256[name]

@@ -152,16 +152,33 @@ class TestFibering:
         v = sample_field(grid32, "bump", 1.0)
         # energy vanishes at the small end of the ray
         tiny = fibering_scan(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff, [1e-6])
-        assert abs(tiny[0]["phi"]) < 1e-8
+        assert abs(tiny["phi"][0]) < 1e-8
         # energy is negative and decreasing at the large end
         big = fibering_scan(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff,
                             [30.0, 60.0])
-        assert big[0]["phi"] < 0.0 and big[1]["phi"] < big[0]["phi"]
+        assert big["phi"][0] < 0.0 and big["phi"][1] < big["phi"][0]
         # single sign change of psi along a dense scan
         eps = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 600))
         ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         signs = np.sign(ray.psi_consistent(eps))
         assert np.sum(np.abs(np.diff(signs)) > 0) == 1
+
+    @pytest.mark.parametrize("K", [
+        KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25),
+        KirchhoffFn.log1p(beta=1.0),
+        KirchhoffFn.from_table([0.1, 0.5, 2.0, 10.0], [1.0, 1.2, 2.0, 3.0], beta=0.5),
+    ], ids=["affine_power", "log1p", "table"])
+    def test_scan_equals_scalar_evaluations_bitwise(self, grid32, flagship_params, K):
+        # the scan evaluates each functional once on the whole eps array; every
+        # entry must be the scalar evaluation at that eps to the last bit
+        u, v = random_pair(grid32, 91)
+        ray = FiberingRay.from_pair(u, v, flagship_params, K, K)
+        eps = np.sort(np.append(np.geomspace(1e-4, 1e4, 120), 1.0))
+        cols = ray.scan(eps)
+        assert cols["eps"].tobytes() == eps.tobytes()
+        for name in ("phi", "psi_consistent", "psi_printed"):
+            want = np.array([getattr(ray, name)(float(e)) for e in eps])
+            assert cols[name].tobytes() == want.tobytes(), name
 
     def test_scan_input_validation(self, grid32, flagship_params, unit_kirchhoff):
         u = sample_field(grid32, "sine", 1.0)
