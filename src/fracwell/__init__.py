@@ -30,7 +30,7 @@ from .variational import (
     log_coupling_bound_gap, well_lower_bound,
 )
 from .dynamics import (
-    ConcavityReport, DecayFit, IntegratorControls, RunOutcome, SimTrace,
+    ConcavityReport, DecayFit, Flow, IntegratorControls, RunOutcome, SimTrace,
     concavity_diagnostic, decay_fit, energy_identity_residual,
     fit_decay, integrate, rhs, tail_decay_check,
 )

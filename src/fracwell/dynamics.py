@@ -23,6 +23,16 @@ weights, which costs nothing (the stage derivatives are already available):
 D is the fifth-order solution of the augmented dissipation equation
 z' = |u_t|^2 + |v_t|^2, so the identity residual is the pair's global error
 on the invariant phi + z and converges like it, O(rtol) or better.
+
+The loop works on the stacked state y = [u, v] in reused buffers.  A run's
+``Flow`` resolves both weight tables and h^N once, and each stage is one
+``rhs`` call: one pair pass, whose u_t and v_t go into one row of the stage
+array.  The stage sums y + dt * sum(a_j k_j) are formed in place, term by
+term in the tableau's order, so every value is bit-identical to the plain
+expression.  The pair is FSAL ("first same as last"): the seventh stage is
+evaluated at the fifth-order solution itself, so an accepted step's trace
+row takes its brackets from that stage's pair pass instead of running one
+more, and the stage becomes the next step's first.
 """
 
 from __future__ import annotations
@@ -30,37 +40,65 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fracops import pair_pass
-from .grids import GridField, discrete_norm
+from .fracops import pair_values, weight_table
+from .grids import GridDomain, GridField
 from .kirchhoff import KirchhoffFn, k_eval
 from .params import ModelParams, ParamError
-from .variational import _RAY_SUMS, FiberingRay, _masked_log_product, _ray_sums
+from .variational import _RAY_SUMS, FiberingRay, _coupling_rows, _masked_log_product
 
 
-def rhs(
-    u: GridField, v: GridField, params: ModelParams, K_p: KirchhoffFn, K_q: KirchhoffFn
-) -> tuple[GridField, GridField]:
-    """Right-hand side of the semi-discrete gradient flow.
+class Flow(NamedTuple):
+    """The semi-discrete flow on one grid, with what every right-hand side
+    shares resolved once: both weight tables, h^N and the node count."""
 
-    The reaction at a node vanishes whenever u_i v_i = 0 (continuous extension
-    of t^sigma log t).  The diffusion carries the 1/p (resp. 1/q) gradient
-    scaling that makes the energy chain with the consistent Nehari functional
-    exact; see the module docstring.
+    params: ModelParams
+    K_p: KirchhoffFn
+    K_q: KirchhoffFn
+    W_p: np.ndarray
+    W_q: np.ndarray
+    hN: float
+    n: int
+
+    @classmethod
+    def on(cls, domain: GridDomain, params: ModelParams, K_p: KirchhoffFn,
+           K_q: KirchhoffFn) -> "Flow":
+        p, q, s = params.p, params.q, params.s
+        return cls(params, K_p, K_q, weight_table(domain, p, s), weight_table(domain, q, s),
+                   domain.cell_measure, domain.node_count)
+
+
+def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None
+        ) -> tuple[np.ndarray, float, float]:
+    """Right-hand side of the semi-discrete gradient flow at the stacked
+    state y = [u, v].
+
+    Writes [u_t, v_t] into ``out`` (a new array when None) and returns it
+    with the brackets A, B of u and v.  The reaction at a node vanishes
+    whenever u_i v_i = 0 (continuous extension of t^sigma log t).  The
+    diffusion carries the 1/p (resp. 1/q) gradient scaling that makes the
+    energy chain with the consistent Nehari functional exact; see the module
+    docstring.
     """
-    p, q, sig, s = params.p, params.q, params.sigma, params.s
-    (Lu, gag_u), (Lv, gag_v) = pair_pass(u, p, v, q, s, operator=True)
+    params, K_p, K_q, W_p, W_q, hN, n = flow
+    p, q, sig = params.p, params.q, params.sigma
+    uu, vv = y[:n], y[n:]
+    (Lu, gag_u), (Lv, gag_v) = pair_values(uu, W_p, vv, W_q, hN, p, q, True)
     A, B = gag_u / p, gag_v / q
-    uu, vv = u.values, v.values
     lg, _ = _masked_log_product(uu, vv)
-    f1 = np.abs(vv) ** sig * np.sign(uu) * np.abs(uu) ** (sig - 1.0) * lg
-    f2 = np.abs(uu) ** sig * np.sign(vv) * np.abs(vv) ** (sig - 1.0) * lg
-    du = -(k_eval(K_p, A) / p) * Lu + f1
-    dv = -(k_eval(K_q, B) / q) * Lv + f2
-    return GridField(u.domain, du), GridField(v.domain, dv)
+    ay = np.abs(y)
+    partner = np.concatenate((ay[n:], ay[:n]))
+    # [|v|^s sign(u)|u|^(s-1) lg, |u|^s sign(v)|v|^(s-1) lg], factor by factor
+    reaction = partner ** sig * np.sign(y) * ay ** (sig - 1.0) * np.concatenate((lg, lg))
+    if out is None:
+        out = np.empty_like(y)
+    np.multiply(Lu, -(k_eval(K_p, A) / p), out=out[:n])
+    np.multiply(Lv, -(k_eval(K_q, B) / q), out=out[n:])
+    out += reaction
+    return out, A, B
 
 
 # Dormand-Prince 5(4) tableau (FSAL: last stage is the derivative at the new state)
@@ -75,8 +113,15 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# (stage, coefficient) terms of each stage state and of the two solutions
+_STAGES = tuple(tuple(enumerate(a)) for a in _DP_A)
+_FIFTH = tuple((j, b) for j, b in enumerate(_DP_B5) if b)
+_FOURTH = tuple((j, b) for j, b in enumerate(_DP_B4) if b)
 
 _GROWTH_FACTOR = 10.0   # dt-floor counts as blow-up past this much max-abs growth
+
+# the values integrate records per accepted step, in order
+_ROW = ("t", "dt", *_RAY_SUMS, "l2_u", "l2_v", "maxabs_u", "maxabs_v", "D", "ut_sq", "vt_sq")
 
 
 @dataclass(frozen=True)
@@ -158,42 +203,41 @@ def integrate(
     (BlowUp with trigger dt_floor when max-abs grew by ``_GROWTH_FACTOR``,
     StepUnderflow otherwise).
     """
-    n = u0.domain.node_count
-    domain = u0.domain
-    hN = domain.cell_measure
-
-    def f(y: np.ndarray) -> np.ndarray:
-        du, dv = rhs(GridField(domain, y[:n]), GridField(domain, y[n:]),
-                     params, K_p, K_q)
-        return np.concatenate([du.values, dv.values])
-
-    def sq_norm(w: np.ndarray) -> float:
-        return float(np.sum(w ** 2) * hN)
-
+    flow = Flow.on(u0.domain, params, K_p, K_q)
+    n, hN = flow.n, flow.hN
     y = np.concatenate([u0.values, v0.values])
-    initial_maxabs = float(np.max(np.abs(y)))
-    t = 0.0
-    D = 0.0
-    rows: list[dict] = []
+    ks = np.empty((7, 2 * n))       # stage derivatives; ks[6] is the next step's ks[0]
+    ys, y5, y4, acc, term = (np.empty(2 * n) for _ in range(5))
+    rows: list[tuple] = []
 
-    def snapshot(t, dt, y, fy, D):
-        uf = GridField(domain, y[:n])
-        vf = GridField(domain, y[n:])
-        rows.append(dict(
-            t=t, dt=dt, **_ray_sums(uf, vf, params),
-            l2_u=discrete_norm(uf, 2.0), l2_v=discrete_norm(vf, 2.0),
-            maxabs_u=uf.max_abs(), maxabs_v=vf.max_abs(), D=D,
-            ut_sq=sq_norm(fy[:n]), vt_sq=sq_norm(fy[n:]),
-        ))
+    def combine(terms, dt, out):
+        """out = y + dt * sum(c * ks[j] for j, c in terms), operation for
+        operation, into reused buffers."""
+        (j, c), *rest = terms
+        np.multiply(ks[j], c, out=acc)
+        np.add(acc, 0.0, out=acc)       # sum() starts from 0, and 0 + (-0.0) is +0.0
+        for j, c in rest:
+            np.add(acc, np.multiply(ks[j], c, out=term), out=acc)
+        np.multiply(acc, dt, out=acc)
+        return np.add(y, acc, out=out)
 
-    k1 = f(y)
-    snapshot(t, 0.0, y, k1, D)
-    dt = min(controls.dt_init, controls.t_end)
-    if controls.dt_max is not None:
-        dt = min(dt, controls.dt_max)
+    def sq_norms(k):
+        """[|u_t|_2^2, |v_t|_2^2] of each stage row of k."""
+        return (np.add.reduce((k ** 2).reshape(len(k), 2, n), axis=2) * hN).tolist()
+
+    def snapshot(t, dt, D, A, B, sq):
+        """Record the row of the current y; A and B are its brackets, sq the
+        squared norms of its derivative.  Returns max |y|."""
+        ay = np.abs(y)
+        l2 = (np.add.reduce((ay ** 2.0).reshape(2, n), axis=1) * hN).tolist()
+        top = np.max(ay.reshape(2, n), axis=1).tolist()
+        c = _coupling_rows(y[None, :n], y[None, n:], params.sigma, hN)
+        rows.append((t, dt, A, B, *(float(c[name][0]) for name in _RAY_SUMS[2:]),
+                     l2[0] ** 0.5, l2[1] ** 0.5, *top, D, *sq))
+        return float(np.max(ay))
 
     def finish(kind, t, trigger=""):
-        cols = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        cols = dict(zip(_ROW, map(np.array, zip(*rows))))
         ray = FiberingRay(params, K_p, K_q, **{name: cols[name] for name in _RAY_SUMS})
         ones = np.ones(len(rows))
         cols.update(phi=ray.phi(ones), psi_consistent=ray.psi_consistent(ones),
@@ -201,16 +245,21 @@ def integrate(
         return SimTrace({name: cols[name] for name in SimTrace.COLUMNS},
                         RunOutcome(kind, t, trigger), params)
 
+    _, A, B = rhs(y, flow, ks[0])
+    t = D = 0.0
+    ymax = initial_maxabs = snapshot(t, 0.0, D, A, B, sq_norms(ks[:1])[0])
+    dt = min(controls.dt_init, controls.t_end)
+    if controls.dt_max is not None:
+        dt = min(dt, controls.dt_max)
+
     while t < controls.t_end:
         dt = min(dt, controls.t_end - t)
-        ks = [k1]
         for i in range(1, 7):
-            yi = y + dt * sum(a * k for a, k in zip(_DP_A[i], ks))
-            ks.append(f(yi))
-        y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks) if b)
-        y4 = y + dt * sum(b * k for b, k in zip(_DP_B4, ks) if b)
+            _, A, B = rhs(combine(_STAGES[i], dt, ys), flow, ks[i])
+        combine(_FIFTH, dt, y5)
+        combine(_FOURTH, dt, y4)
         err = float(np.max(np.abs(y5 - y4)))
-        tol = controls.rtol * (1.0 + float(np.max(np.abs(y))))
+        tol = controls.rtol * (1.0 + ymax)
 
         if not math.isfinite(err) or not np.all(np.isfinite(y5)):
             # overflow inside the step: counts as exceeding the norm threshold
@@ -219,14 +268,14 @@ def integrate(
         if err <= tol:
             t += dt
             # same-tableau stage quadrature of the dissipation integrand
-            incr = dt * sum(b * (sq_norm(k[:n]) + sq_norm(k[n:]))
-                            for b, k in zip(_DP_B5, ks) if b)
+            sq = sq_norms(ks)
+            incr = dt * sum(b * (sq[j][0] + sq[j][1]) for j, b in _FIFTH)
             D += max(incr, 0.0)
-            y = y5
-            k1 = ks[6]
-            snapshot(t, dt, y, k1, D)
-            maxabs = float(np.max(np.abs(y)))
-            if maxabs > controls.blowup_threshold:
+            y, y5 = y5, y
+            ks[0] = ks[6]
+            # the last stage ran at y5 itself: its brackets are those of y
+            ymax = snapshot(t, dt, D, A, B, sq[6])
+            if ymax > controls.blowup_threshold:
                 return finish("BlowUp", t, "norm_threshold")
 
         fac = 0.9 * (tol / max(err, 1e-300)) ** 0.2
@@ -234,8 +283,7 @@ def integrate(
         if controls.dt_max is not None:
             dt = min(dt, controls.dt_max)
         if dt < controls.dt_min:
-            maxabs = float(np.max(np.abs(y)))
-            if maxabs > _GROWTH_FACTOR * max(initial_maxabs, 1e-300):
+            if ymax > _GROWTH_FACTOR * max(initial_maxabs, 1e-300):
                 return finish("BlowUp", t, "dt_floor")
             return finish("StepUnderflow", t)
 
@@ -420,11 +468,6 @@ class ConcavityReport:
     L_second: np.ndarray
     horizon_estimate: float
     informational: bool
-
-    @property
-    def min_relative(self) -> float:
-        scale = np.abs(self.L_second * self.L) + 0.5 * self.L_prime ** 2 + 1e-300
-        return float(np.min(self.G / scale))
 
 
 def concavity_diagnostic(trace: SimTrace, a: float, b: float, T: float) -> ConcavityReport:

@@ -10,6 +10,7 @@ condition); no ghost values are ever stored or read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -185,6 +186,44 @@ def sample_field(
     else:
         raise GridError(f"unknown preset {preset!r}; choose one of {PRESETS}")
     return GridField(grid, amplitude * profile)
+
+
+@lru_cache(maxsize=16)
+def _sine_modes(grid: GridDomain, modes: int) -> tuple[np.ndarray, ...]:
+    """Per axis a, the rows sin(k pi x_a / extent_a) for k = 1..modes (read-only)."""
+    x = grid.coords
+    tables = tuple(
+        np.array([np.sin(k * np.pi * x[:, a] / ext) for k in range(1, modes + 1)])
+        for a, ext in enumerate(grid.extents)
+    )
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def smooth_mode_rows(grid: GridDomain, draws: np.ndarray, modes: int) -> np.ndarray:
+    """One superposition of homogeneous-boundary modes per row of weights
+    ``draws`` (``modes ** N`` per row), with decaying factors: the sum over
+    k (and l) of c / k^2 sin_k (1-D) or c / (k^2 + l^2) sin_k sin_l (2-D),
+    accumulated in mode order."""
+    vals = np.zeros((len(draws), grid.node_count))
+    if grid.ndim == 1:
+        (sx,) = _sine_modes(grid, modes)
+        for k in range(1, modes + 1):
+            vals += (draws[:, k - 1] / k ** 2)[:, None] * sx[k - 1]
+    else:
+        sx, sy = _sine_modes(grid, modes)
+        for k in range(1, modes + 1):
+            for l in range(1, modes + 1):
+                c = draws[:, (k - 1) * modes + l - 1] / (k ** 2 + l ** 2)
+                vals += c[:, None] * sx[k - 1] * sy[l - 1]
+    return vals
+
+
+def random_smooth_field(grid: GridDomain, rng: np.random.Generator, modes: int) -> GridField:
+    """Random superposition of homogeneous-boundary modes with normal weights."""
+    draws = rng.normal(size=(1, modes ** grid.ndim))
+    return GridField(grid, smooth_mode_rows(grid, draws, modes)[0])
 
 
 def discrete_norm(u: GridField, r: float) -> float:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
 from . import dynamics, fracops, variational
-from .grids import GridField, build_grid, discrete_norm, inner, sample_field
+from .grids import GridField, build_grid, discrete_norm, inner, random_smooth_field, sample_field
 from .kirchhoff import KirchhoffFn, check_hypotheses, k_antideriv, k_eval, scaling_suite
 from .params import validate_params
 from .variational import FiberingRay, well_lower_bound
@@ -49,8 +50,8 @@ def _unit_kirchhoff():
 
 
 def _random_pair(grid, rng, modes=5):
-    u = variational._random_smooth_field(grid, rng, modes)
-    v = variational._random_smooth_field(grid, rng, modes)
+    u = random_smooth_field(grid, rng, modes)
+    v = random_smooth_field(grid, rng, modes)
     return u, v
 
 
@@ -251,7 +252,9 @@ def suite_fibering(seed=106, pairs=8, psi_variant="consistent") -> SuiteResult:
     return res
 
 
+@lru_cache(maxsize=1)
 def _sampled_well(grid, seed):
+    """The 40-direction well estimate that two suites read, computed once."""
     return variational.estimate_well_depth(grid, _flagship_params(), _unit_kirchhoff(),
                                            _unit_kirchhoff(), directions=40, seed=seed)
 
@@ -401,8 +404,10 @@ def suite_dissipation(seed=112) -> SuiteResult:
     if summary.max_abs > 1e-5 * (1.0 + abs(phis[0])):
         res.fail(f"identity residual too large: {summary.max_abs}")
     # energy chain at the initial state
-    du, dv = dynamics.rhs(u0, v0, params, Kp, Kq)
-    chain = inner(du, u0) + inner(dv, v0)
+    n = grid.node_count
+    k, _, _ = dynamics.rhs(np.concatenate([u0.values, v0.values]),
+                           dynamics.Flow.on(grid, params, Kp, Kq))
+    chain = inner(GridField(grid, k[:n]), u0) + inner(GridField(grid, k[n:]), v0)
     psi0 = variational.energy_report(u0, v0, params, Kp, Kq).psi_consistent
     res.checks += 1
     if abs(chain + psi0) > 1e-10 * (1.0 + abs(psi0)):

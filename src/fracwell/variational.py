@@ -23,6 +23,14 @@ estimated from above by sampling direction pairs, projecting each onto the
 Nehari set along its ray, and taking the running minimum; it is an upper
 estimate and is labeled as such wherever it is consumed.
 
+The directions are drawn and summed as arrays too: each child generator of
+the seed draws a pair's mode weights in one call, the fields of a chunk of
+pairs are stacked rows (16 KiB per array), and their brackets and coupling
+sums come out per row from one pass over the chunk (stacked difference
+tables below ``fracops._THREADED_MIN_NODES`` nodes, the threaded pair pass
+from there on).  Every sum runs over one row, so each direction's fields
+and sums are bit-identical to those of a lone direction.
+
 The projection runs on arrays: all sampled rays are stacked into one batch
 ``FiberingRay`` and expanded and bisected together, each ray under the same
 rules as a lone ray (a single ``find_epsilon_star`` is a batch of one).  The
@@ -40,13 +48,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .fracops import gagliardo_sum, pair_pass
-from .grids import FieldPair, GridDomain, GridField, GridError, discrete_norm, sample_field
+from .fracops import gagliardo_rows, gagliardo_sum, pair_pass, weight_table
+from .grids import (
+    FieldPair, GridDomain, GridField, GridError, discrete_norm, random_smooth_field, sample_field,
+    smooth_mode_rows,
+)
 from .kirchhoff import KirchhoffFn, k_antideriv, k_eval
 from .params import ModelParams, ParamError
 
@@ -62,25 +72,41 @@ class BracketingError(RuntimeError):
 def _masked_log_product(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     prod = np.abs(u) * np.abs(v)
     mask = prod > 0.0
+    if mask.all():      # the same elementwise logs, without the compaction
+        return np.log(prod), mask
     out = np.zeros_like(prod)
     out[mask] = np.log(prod[mask])
     return out, mask
 
 
-def _couplings(u: GridField, v: GridField, sigma: float) -> dict[str, float]:
-    """The four coupling integrals of (u, v), by field name, from one masked
-    log: |u|^sigma |v|^sigma and |uv|^(sigma+1), each alone and times log|uv|."""
-    if u.domain != v.domain:
-        raise GridError("coupling integrals need a shared domain")
-    lg, mask = _masked_log_product(u.values, v.values)
-    au, av = np.abs(u.values), np.abs(v.values)
+def _coupling_rows(U: np.ndarray, V: np.ndarray, sigma: float,
+                   hN: float) -> dict[str, np.ndarray]:
+    """The four coupling integrals of each row pair (U[i], V[i]) of nodal
+    values, by field name, from one masked log: |u|^sigma |v|^sigma and
+    |uv|^(sigma+1), each alone and times log|uv|.
+
+    Every sum runs over one row, so each equals the sum of that pair alone
+    bit for bit.  The log sums run over the nodes where uv != 0: a row where
+    uv vanishes somewhere sums its compacted terms, since summing the
+    zero-filled row would change the pairwise order.
+    """
+    lg, mask = _masked_log_product(U, V)
+    au, av = np.abs(U), np.abs(V)
     c = au ** sigma * av ** sigma
     hi = (au * av) ** (sigma + 1.0)
-    hN = u.domain.cell_measure
-    return dict(coupling_mass=float(np.sum(c) * hN),
-                log_coupling=float(np.sum(c[mask] * lg[mask]) * hN),
-                coupling_high=float(np.sum(hi) * hN),
-                log_coupling_high=float(np.sum(hi[mask] * lg[mask]) * hN))
+    sums = [np.add.reduce(x, axis=-1) for x in (c, c * lg, hi, hi * lg)]
+    for i in np.flatnonzero(~mask.all(axis=-1)):
+        m = mask[i]
+        sums[1][i], sums[3][i] = (np.add.reduce(x[i][m] * lg[i][m]) for x in (c, hi))
+    return dict(zip(_RAY_SUMS[2:], [x * hN for x in sums]))
+
+
+def _couplings(u: GridField, v: GridField, sigma: float) -> dict[str, float]:
+    """The four coupling integrals of (u, v), by field name (see ``_coupling_rows``)."""
+    if u.domain != v.domain:
+        raise GridError("coupling integrals need a shared domain")
+    rows = _coupling_rows(u.values[None], v.values[None], sigma, u.domain.cell_measure)
+    return {name: float(total[0]) for name, total in rows.items()}
 
 
 def coupling_mass(u: GridField, v: GridField, sigma: float) -> float:
@@ -399,56 +425,45 @@ class WellEstimate:
         return len(self.samples)
 
 
-@lru_cache(maxsize=16)
-def _sine_modes(grid: GridDomain, modes: int) -> tuple[np.ndarray, ...]:
-    """Per axis a, the rows sin(k pi x_a / extent_a) for k = 1..modes (read-only)."""
-    x = grid.coords
-    tables = tuple(
-        np.array([np.sin(k * np.pi * x[:, a] / ext) for k in range(1, modes + 1)])
-        for a, ext in enumerate(grid.extents)
-    )
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+def _direction_chunks(grid: GridDomain, count: int, seed: int, modes: int = 6):
+    """Three preset direction pairs, then up to ``count`` random ones, all
+    normalized, as chunks (labels, U, V) of stacked fields of 16 KiB each.
+
+    Random pair k draws u's mode weights, then v's, from the k-th child of
+    the seed, and is dropped if a field has norm below 1e-14.  Each row
+    equals its lone field bit for bit, normalized as ``discrete_norm`` and
+    ``GridField.scaled`` do.
+    """
+    per, step = modes ** grid.ndim, max(1, 1024 // grid.node_count)
+    draws = np.array([np.random.default_rng(child).normal(size=2 * per)
+                      for child in np.random.SeedSequence(seed).spawn(count)])
+    draws = draws.reshape(-1, per)      # u_0, v_0, u_1, v_1, ...
+    sine, bump = (sample_field(grid, name).values for name in ("sine", "bump"))
+    chunks = [(["preset:sine-sine", "preset:bump-bump", "preset:sine-bump"],
+               np.array([sine, sine, bump, bump, sine, bump]))]
+    chunks += [([f"random:{k}" for k in range(i, min(i + step, count))],
+                smooth_mode_rows(grid, draws[2 * i:2 * i + 2 * step], modes))
+               for i in range(0, count, step)]
+    for labels, rows in chunks:
+        norms = _libm_pow(np.add.reduce(np.abs(rows) ** 2.0, axis=1) * grid.cell_measure, 0.5)
+        rows *= (1.0 / np.maximum(norms, 1e-300))[:, None]
+        keep = np.all(norms.reshape(-1, 2) >= 1e-14, axis=1)
+        U, V = rows[0::2], rows[1::2]
+        if not keep.all():
+            labels, U, V = [label for label, k in zip(labels, keep) if k], U[keep], V[keep]
+        yield labels, U, V
 
 
-def _random_smooth_field(grid: GridDomain, rng: np.random.Generator, modes: int) -> GridField:
-    """Random superposition of homogeneous-boundary modes with decaying weights."""
-    vals = np.zeros(grid.node_count)
-    if grid.ndim == 1:
-        (sx,) = _sine_modes(grid, modes)
-        for k in range(1, modes + 1):
-            vals += rng.normal() / k ** 2 * sx[k - 1]
-    else:
-        sx, sy = _sine_modes(grid, modes)
-        for k in range(1, modes + 1):
-            for l in range(1, modes + 1):
-                vals += rng.normal() / (k ** 2 + l ** 2) * sx[k - 1] * sy[l - 1]
-    return GridField(grid, vals)
-
-
-def _normalized(u: GridField) -> GridField | None:
-    n = discrete_norm(u, 2.0)
-    if n < 1e-14:
-        return None
-    return u.scaled(1.0 / n)
-
-
-def direction_pairs(grid: GridDomain, count: int, seed: int, modes: int = 6):
-    """Three preset direction pairs, then up to ``count`` random ones, all normalized."""
-    sine = _normalized(sample_field(grid, "sine"))
-    bump = _normalized(sample_field(grid, "bump"))
-    yield "preset:sine-sine", FieldPair(sine, sine)
-    yield "preset:bump-bump", FieldPair(bump, bump)
-    yield "preset:sine-bump", FieldPair(sine, bump)
-    root = np.random.SeedSequence(seed)
-    for k, child in enumerate(root.spawn(count)):
-        rng = np.random.default_rng(child)
-        u = _normalized(_random_smooth_field(grid, rng, modes))
-        v = _normalized(_random_smooth_field(grid, rng, modes))
-        if u is None or v is None:
-            continue
-        yield f"random:{k}", FieldPair(u, v)
+def _ray_rows(U: np.ndarray, V: np.ndarray, grid: GridDomain,
+              params: ModelParams) -> dict[str, np.ndarray]:
+    """The six ray sums of every row pair (U[i], V[i]), by field name, each
+    equal bit for bit to ``_ray_sums`` of that pair: the brackets from
+    ``gagliardo_rows``, the couplings from ``_coupling_rows``."""
+    p, q, s, hN = params.p, params.q, params.s, grid.cell_measure
+    gag_u, gag_v = gagliardo_rows(U, weight_table(grid, p, s), V, weight_table(grid, q, s),
+                                  hN, p, q)
+    return dict(bracket_u=gag_u / p, bracket_v=gag_v / q,
+                **_coupling_rows(U, V, params.sigma, hN))
 
 
 def estimate_well_depth(
@@ -472,21 +487,24 @@ def estimate_well_depth(
     """
     if not params.well_regime:
         raise ParamError("well depth needs admissible (well-regime) parameters")
-    drawn = list(direction_pairs(grid, directions, seed, modes))
-    rays = FiberingRay.stack([FiberingRay.from_pair(pair.u, pair.v, params, K_p, K_q)
-                              for _, pair in drawn])
+    chunks = list(_direction_chunks(grid, directions, seed, modes))
+    sums = [_ray_rows(U, V, grid, params) for _, U, V in chunks]
+    rays = FiberingRay(params, K_p, K_q,
+                       **{name: np.concatenate([c[name] for c in sums]) for name in _RAY_SUMS})
+    labels = [label for chunk in chunks for label in chunk[0]]
     star, _, side = _project_rays(rays, variant)
     found = np.flatnonzero(side == 0)
     if not found.size:
         raise BracketingError("no Nehari point found in any sampled direction")
     samples: list[WellSample] = []
-    best_pair = None
-    best_val = math.inf
+    best_pair, best, best_val = None, None, math.inf
     for i, val in zip(found.tolist(), rays.take(found).phi(star[found])):
-        label, pair = drawn[i]
-        samples.append(WellSample(label, float(star[i]), val))
+        samples.append(WellSample(labels[i], float(star[i]), val))
         if val < best_val:
-            best_val, best_pair = val, pair
+            best, best_val = i, val
+    if best is not None:
+        u, v = [(u, v) for _, U, V in chunks for u, v in zip(U, V)][best]
+        best_pair = FieldPair(GridField(grid, u), GridField(grid, v))
 
     refine_done = 0
     if refine_iters > 0 and best_pair is not None:
@@ -513,8 +531,8 @@ def estimate_well_depth(
     return WellEstimate(
         d=best_val,
         samples=tuple(samples),
-        attempted=len(drawn),
-        bracketing_failures=len(drawn) - found.size,
+        attempted=len(labels),
+        bracketing_failures=len(labels) - found.size,
         best_pair=best_pair,
         seed=seed,
         refine_iterations=refine_done,
@@ -643,7 +661,7 @@ def estimate_embedding_constant(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     fields = [sample_field(grid, "sine"), sample_field(grid, "bump")]
-    fields += [_random_smooth_field(grid, rng, modes) for _ in range(samples)]
+    fields += [random_smooth_field(grid, rng, modes) for _ in range(samples)]
     return max(ratio(u) for u in fields)
 
 

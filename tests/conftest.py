@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracwell import KirchhoffFn, build_grid, validate_params
-from fracwell.variational import _random_smooth_field
+from fracwell.grids import random_smooth_field
 
 
 @pytest.fixture(scope="session")
@@ -34,5 +34,5 @@ def grid48():
 
 def random_pair(grid, seed, modes=5):
     rng = np.random.default_rng(seed)
-    return (_random_smooth_field(grid, rng, modes),
-            _random_smooth_field(grid, rng, modes))
+    return (random_smooth_field(grid, rng, modes),
+            random_smooth_field(grid, rng, modes))

@@ -31,7 +31,7 @@ from fracwell.fracops import apply_operator_naive, gagliardo_sum_naive
 from fracwell.validate import (
     suite_interpolation, suite_kirchhoff_scaling, suite_scalar_log_bounds,
 )
-from fracwell.variational import _random_smooth_field
+from fracwell.grids import random_smooth_field
 
 
 def _report(number, ok, detail):
@@ -103,8 +103,8 @@ def test_criterion_3_fibering(params, K):
     failures = []
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
-        u = _random_smooth_field(grid, rng, 5)
-        v = _random_smooth_field(grid, rng, 5)
+        u = random_smooth_field(grid, rng, 5)
+        v = random_smooth_field(grid, rng, 5)
         try:
             star = find_epsilon_star(u, v, params, K, K)
         except Exception as exc:  # noqa: BLE001

@@ -271,6 +271,17 @@ class TestValidateCommand:
     def test_unknown_scope(self, capsys):
         assert main(["validate", "--scope", "zzz-no-such-suite"]) == 1
 
+    def test_two_well_suites_share_one_estimate(self, capsys, monkeypatch):
+        from fracwell import validate
+        calls = []
+        real = variational.estimate_well_depth
+        monkeypatch.setattr(variational, "estimate_well_depth",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        validate._sampled_well.cache_clear()
+        assert main(["validate", "--scope", "well-depth-positive"]) == 0
+        assert main(["validate", "--scope", "constant-pair-nehari"]) == 0
+        assert len(calls) == 1
+
     def test_printed_variant_negative_control(self, capsys):
         # the derivative-identity suite must detect the printed variant's failure
         assert main(["validate", "--scope", "fibering", "--psi-variant", "printed"]) == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracwell import (
-    GridField, IntegratorControls, KirchhoffFn, apply_operator, build_grid,
+    Flow, GridField, IntegratorControls, KirchhoffFn, apply_operator, build_grid,
     concavity_diagnostic, decay_fit, energy_identity_residual, fit_decay,
     energy_report, inner, integrate, k_eval, rhs, sample_field, tail_decay_check,
 )
@@ -14,17 +14,24 @@ from fracwell.params import ParamError
 from conftest import random_pair
 
 
+def field_rhs(u, v, params, K_p, K_q):
+    """``rhs`` at the pair (u, v), as the pair (u_t, v_t) of fields."""
+    k, _, _ = rhs(np.concatenate([u.values, v.values]), Flow.on(u.domain, params, K_p, K_q))
+    n = u.domain.node_count
+    return GridField(u.domain, k[:n]), GridField(u.domain, k[n:])
+
+
 class TestRightHandSide:
     def test_zero_state_is_equilibrium(self, grid32, flagship_params, unit_kirchhoff):
         z = GridField(grid32, np.zeros(32))
-        du, dv = rhs(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        du, dv = field_rhs(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff)
         assert np.all(du.values == 0.0) and np.all(dv.values == 0.0)
 
     def test_vanishing_partner_leaves_pure_diffusion(self, grid32, flagship_params,
                                                      unit_kirchhoff):
         u = sample_field(grid32, "sine", 1.3)
         z = GridField(grid32, np.zeros(32))
-        du, dv = rhs(u, z, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        du, dv = field_rhs(u, z, flagship_params, unit_kirchhoff, unit_kirchhoff)
         p, s = flagship_params.p, flagship_params.s
         coeff = k_eval(unit_kirchhoff, bracket(u, p, s)) / p
         expected = -coeff * apply_operator(u, p, s).values
@@ -40,7 +47,7 @@ class TestRightHandSide:
         Kq = KirchhoffFn.log1p(beta=1.0)
         prm = flagship_params
         u, v = random_pair(grid32, 77)
-        du, dv = rhs(u, v, prm, Kp, Kq)
+        du, dv = field_rhs(u, v, prm, Kp, Kq)
         uu, vv = u.values, v.values
         lg, _ = _masked_log_product(uu, vv)
         f1 = np.abs(vv) ** prm.sigma * np.sign(uu) * np.abs(uu) ** (prm.sigma - 1.0) * lg
@@ -55,7 +62,7 @@ class TestRightHandSide:
     def test_energy_chain(self, grid32, flagship_params, unit_kirchhoff):
         for seed in range(5):
             u, v = random_pair(grid32, 300 + seed)
-            du, dv = rhs(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
+            du, dv = field_rhs(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
             chain = inner(du, u) + inner(dv, v)
             psi = energy_report(u, v, flagship_params, unit_kirchhoff,
                                 unit_kirchhoff).psi_consistent
@@ -67,7 +74,7 @@ class TestRightHandSide:
         Kp = KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25)
         Kq = KirchhoffFn.log1p(beta=1.0)
         u, v = random_pair(grid32, 404)
-        du, dv = rhs(u, v, flagship_params, Kp, Kq)
+        du, dv = field_rhs(u, v, flagship_params, Kp, Kq)
         chain = inner(du, u) + inner(dv, v)
         psi = energy_report(u, v, flagship_params, Kp, Kq).psi_consistent
         assert abs(chain + psi) <= 1e-10 * (1.0 + abs(psi))
@@ -76,7 +83,7 @@ class TestRightHandSide:
         # the flow is the L2 gradient flow: d(phi)/dt = -(|u_t|^2 + |v_t|^2)
         g = build_grid(1.0, 16)
         u, v = random_pair(g, 17)
-        du, dv = rhs(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        du, dv = field_rhs(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         gsq = inner(du, du) + inner(dv, dv)
         d = 1e-7
         hi = energy_report(GridField(g, u.values + d * du.values),

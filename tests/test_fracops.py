@@ -169,7 +169,7 @@ class TestFusedPass:
 
     def test_equals_separate_passes_exactly(self, p, grid):
         u = self.field(grid, p)
-        Lu, gag = fracops._dense_pass(u, p, 0.4, True, True)
+        Lu, gag = fracops._field_pass(u, p, 0.4, True, True)
         assert Lu.shape == (grid.node_count,)
         assert np.array_equal(Lu, apply_operator(u, p, 0.4).values)
         assert gag / p == bracket(u, p, 0.4) == gagliardo_sum(u, p, 0.4) / p
@@ -181,14 +181,14 @@ class TestFusedPass:
         W = weight_table(grid, p, 0.4)
         du = u.values[:, None] - u.values[None, :]
         h = grid.cell_measure
-        Lu, gag = fracops._dense_pass(u, p, 0.4, True, True)
+        Lu, gag = fracops._field_pass(u, p, 0.4, True, True)
         assert gag / p == float(np.sum(np.abs(du) ** p * W) * h ** 2) / p
         assert np.array_equal(
             Lu, 2.0 * h * np.sum(np.sign(du) * np.abs(du) ** (p - 1.0) * W, axis=1))
 
     def test_matches_naive_loops(self, p, grid):
         u = self.field(grid, p)
-        Lu, gag = fracops._dense_pass(u, p, 0.4, True, True)
+        Lu, gag = fracops._field_pass(u, p, 0.4, True, True)
         assert gag == pytest.approx(gagliardo_sum_naive(u, p, 0.4), rel=1e-12)
         slow = apply_operator_naive(u, p, 0.4).values
         assert np.all(np.abs(Lu - slow) <= 1e-12 * (1.0 + np.abs(slow)))
@@ -213,7 +213,7 @@ def small_fields(draw):
 def test_fused_pass_matches_naive_loops_property(u, p, s):
     # p in (1, 4], 1 < p < 2 included; relative error <= 1e-12, the operator's
     # measured against the sum of its terms' magnitudes (rows may cancel)
-    Lu, fused = fracops._dense_pass(u, p, s, True, True)
+    Lu, fused = fracops._field_pass(u, p, s, True, True)
     gag = gagliardo_sum_naive(u, p, s)
     assert abs(fused - gag) <= 1e-12 * gag
     du = np.abs(np.subtract.outer(u.values, u.values))
@@ -227,27 +227,27 @@ def test_workspace_reuse_leaves_earlier_results_alone():
     rng = np.random.default_rng(4)
     g16, g24 = build_grid(1.0, 16), build_grid(1.0, 24)
     u, w = (GridField(g16, rng.normal(size=16)) for _ in range(2))
-    Lu, A = fracops._dense_pass(u, 3.0, 0.5, True, True)
+    Lu, A = fracops._field_pass(u, 3.0, 0.5, True, True)
     kept = Lu.copy()
     buffers = list(fracops._local.buffers)
     assert len(buffers) == 2
-    Lw, B = fracops._dense_pass(w, 3.0, 0.5, True, True)
+    Lw, B = fracops._field_pass(w, 3.0, 0.5, True, True)
     assert np.array_equal(Lu, kept) and not np.array_equal(Lw, kept)
     assert all(a is b for a, b in zip(fracops._local.buffers, buffers))   # same M: reused
     z = GridField(g24, rng.normal(size=24))
-    Lz, C = fracops._dense_pass(z, 2.5, 0.5, True, True)          # new M: reallocated
+    Lz, C = fracops._field_pass(z, 2.5, 0.5, True, True)          # new M: reallocated
     assert fracops._local.buffers[0].shape == (24, 24)
     assert np.all(np.abs(Lz - apply_operator_naive(z, 2.5, 0.5).values)
                   <= 1e-12 * (1.0 + np.abs(Lz)))
     assert C == pytest.approx(gagliardo_sum_naive(z, 2.5, 0.5), rel=1e-12)
-    again, A2 = fracops._dense_pass(u, 3.0, 0.5, True, True)
+    again, A2 = fracops._field_pass(u, 3.0, 0.5, True, True)
     assert np.array_equal(again, kept) and A2 == A
     assert np.array_equal(Lu, kept)
     # another thread passes in a workspace of its own and leaves this one alone
     mine = list(fracops._local.buffers)
     seen = []
     worker = threading.Thread(target=lambda: seen.append(
-        (fracops._dense_pass(u, 3.0, 0.5, True, True), list(fracops._local.buffers))))
+        (fracops._field_pass(u, 3.0, 0.5, True, True), list(fracops._local.buffers))))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
@@ -283,13 +283,13 @@ def _pair(grid, seed):
 def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold,
                                                      threaded, operator):
     u, v = _pair(grid, grid.node_count)
-    expected = (fracops._dense_pass(u, 3.0, 0.4, operator, True),
-                fracops._dense_pass(v, 3.5, 0.4, operator, True))
+    expected = (fracops._field_pass(u, 3.0, 0.4, operator, True),
+                fracops._field_pass(v, 3.5, 0.4, operator, True))
     ran_on = []
     serial_pass = fracops._dense_pass
 
     def recording_pass(w, *args):
-        ran_on.append((w is u, threading.get_ident()))
+        ran_on.append((w is u.values, threading.get_ident()))
         return serial_pass(w, *args)
 
     monkeypatch.setattr(fracops, "_dense_pass", recording_pass)
@@ -321,7 +321,7 @@ def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
             values, 2.0 * h * np.sum(np.sign(d) * np.abs(d) ** (e - 1.0) * W, axis=1))
         assert np.float64(gag).tobytes() == np.float64(
             float(np.sum(np.abs(d) ** e * W) * h ** 2)).tobytes()
-        Lw, gag_w = fracops._dense_pass(w, e, 0.4, True, True)
+        Lw, gag_w = fracops._field_pass(w, e, 0.4, True, True)
         assert np.array_equal(Lw, values) and gag_w == gag
 
 
@@ -334,16 +334,16 @@ def test_pair_pass_raises_worker_and_caller_errors(monkeypatch):
     with pytest.raises(ValueError, match="p > 1"):
         fracops.pair_pass(u, 0.5, v, 3.0, 0.5, True)      # caller side: worker drained
     ru, rv = fracops.pair_pass(u, 3.0, v, 2.5, 0.5, True)
-    assert _bits(ru) == _bits(fracops._dense_pass(u, 3.0, 0.5, True, True))
-    assert _bits(rv) == _bits(fracops._dense_pass(v, 2.5, 0.5, True, True))
+    assert _bits(ru) == _bits(fracops._field_pass(u, 3.0, 0.5, True, True))
+    assert _bits(rv) == _bits(fracops._field_pass(v, 2.5, 0.5, True, True))
 
 
 def test_pair_pass_from_concurrent_callers(monkeypatch):
     # more callers than cores share the one worker; each gets its own results
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     pairs = [_pair(build_grid(1.0, 6 + k), k) for k in range(4)]
-    expected = [(_bits(fracops._dense_pass(u, 3.0, 0.5, True, True)),
-                 _bits(fracops._dense_pass(v, 2.5, 0.5, True, True))) for u, v in pairs]
+    expected = [(_bits(fracops._field_pass(u, 3.0, 0.5, True, True)),
+                 _bits(fracops._field_pass(v, 2.5, 0.5, True, True))) for u, v in pairs]
     wrong = []
 
     def caller(k):

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from fracwell import (
-    BracketingError, EpsilonStar, FiberingRay, KirchhoffFn, build_grid, validate_params,
+    BracketingError, EpsilonStar, FiberingRay, GridField, KirchhoffFn, build_grid,
+    validate_params,
 )
-from fracwell.variational import _project_rays, _random_smooth_field, direction_pairs
+from fracwell.grids import random_smooth_field
+from fracwell.variational import _direction_chunks, _project_rays
 
 
 def scalar_epsilon_star(ray, variant, eps_min=1e-8, eps_max=1e8, rel_tol=1e-10):
@@ -83,9 +85,10 @@ def rays(request):
     K, kw = COEFFICIENTS[request.param]
     params = validate_params(**kw)
     grid = build_grid(1.0, 24)
-    sampled = [FiberingRay.from_pair(pair.u.scaled(a), pair.v.scaled(a), params, K, K)
-               for a, (_, pair) in zip(np.logspace(-2.0, 2.0, 63),
-                                       direction_pairs(grid, 60, seed=11))]
+    pairs = [(u, v) for _, U, V in _direction_chunks(grid, 60, seed=11) for u, v in zip(U, V)]
+    sampled = [FiberingRay.from_pair(GridField(grid, a * u), GridField(grid, a * v),
+                                     params, K, K)
+               for a, (u, v) in zip(np.logspace(-2.0, 2.0, 63), pairs)]
     assert len(sampled) == 63
     return sampled + [dataclasses.replace(sampled[0], **sums) for sums in MADE_UP]
 
@@ -161,5 +164,5 @@ def test_random_field_equals_inline_sines(counts):
                 want += rng.normal() / (k ** 2 + l ** 2) * np.sin(
                     k * np.pi * x[:, 0] / grid.extents[0]
                 ) * np.sin(l * np.pi * x[:, 1] / grid.extents[1])
-    got = _random_smooth_field(grid, np.random.default_rng(3), modes)
+    got = random_smooth_field(grid, np.random.default_rng(3), modes)
     assert np.array_equal(got.values, want)
