@@ -23,10 +23,9 @@ from .kirchhoff import (
     scaling_suite,
 )
 from .variational import (
-    BracketingError, Classification, EnergyReport, EpsilonStar, FiberingRay,
-    WellEstimate, blowup_time_bound, classify_initial_data, compute_d_star,
-    coupling_mass, energy_report, estimate_embedding_constant,
-    estimate_well_depth, fibering_scan, find_epsilon_star, log_coupling,
+    BracketingError, Classification, EpsilonStar, FiberingRay, WellEstimate,
+    blowup_time_bound, classify_initial_data, compute_d_star, coupling_mass,
+    estimate_embedding_constant, estimate_well_depth, log_coupling,
     log_coupling_bound_gap, well_lower_bound,
 )
 from .dynamics import (

@@ -51,8 +51,8 @@ def _well_estimate(cfg, params, grid, Kp, Kq):
     wd = cfg.well_depth
     return variational.estimate_well_depth(
         grid, params, Kp, Kq,
-        directions=int(wd["directions"]), seed=cfg.seed, modes=int(wd["modes"]),
-        refine_iters=int(wd.get("refine_iters", 0)), variant=cfg.psi_variant,
+        directions=wd["directions"], seed=cfg.seed, modes=wd["modes"],
+        refine_iters=wd["refine_iters"], variant=cfg.psi_variant,
     )
 
 

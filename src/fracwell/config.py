@@ -21,7 +21,10 @@ Schema (all keys required unless noted):
 Kirchhoff "beta" defaults to the params beta.  No expression language: the
 initial data come from the named presets only.  Unknown keys at the top level
 and in the "integrator" and "well_depth" blocks are rejected by name, so a
-typo such as "rtoll" fails instead of running with the default.
+typo such as "rtoll" fails instead of running with the default.  So is a bad
+value in those two blocks: every integrator control must be a positive
+number ("dt_max" may also be null), "directions" and "refine_iters" integers
+>= 0 and "modes" an integer >= 1.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class ConfigError(ValueError):
 
 
 _DEFAULTS_INTEGRATOR = {
+    "t_end": None,      # required: a missing value fails the value check
     "dt_init": 1e-6,
     "dt_min": 1e-13,
     "rtol": 1e-8,
@@ -54,6 +58,17 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {where} key(s) {unknown}; allowed: {allowed}")
+
+
+def _reject_bad_values(integ: dict, well: dict) -> None:
+    for key, value in integ.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and value > 0 or key == "dt_max" and value is None):
+            raise ConfigError(f"integrator {key!r} must be a positive number, got {value!r}")
+    for key, least in (("directions", 0), ("modes", 1), ("refine_iters", 0)):
+        value = well[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"well_depth {key!r} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,7 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"config missing keys: {missing}")
         _reject_unknown(raw, (f.name for f in fields(cls)), "config")
-        _reject_unknown(raw["integrator"], ("t_end", *_DEFAULTS_INTEGRATOR), "integrator")
+        _reject_unknown(raw["integrator"], _DEFAULTS_INTEGRATOR, "integrator")
         _reject_unknown(raw.get("well_depth", {}), _DEFAULTS_WELL, "well_depth")
         psi_variant = raw.get("psi_variant", "consistent")
         if psi_variant not in ("consistent", "printed"):
@@ -95,6 +110,7 @@ class ExperimentConfig:
         integ.update(raw["integrator"])
         well = dict(_DEFAULTS_WELL)
         well.update(raw.get("well_depth", {}))
+        _reject_bad_values(integ, well)
         return cls(
             params=dict(raw["params"]),
             grid=dict(raw["grid"]),

@@ -134,9 +134,10 @@ class IntegratorControls:
     dt_max: float | None = None
 
     def __post_init__(self):
-        for name in ("t_end", "dt_init", "dt_min", "rtol", "blowup_threshold"):
-            if getattr(self, name) <= 0:
-                raise ParamError(f"integrator control {name} must be positive")
+        for name in ("t_end", "dt_init", "dt_min", "rtol", "blowup_threshold", "dt_max"):
+            value = getattr(self, name)
+            if not (value is None and name == "dt_max" or value > 0):
+                raise ParamError(f"integrator control {name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ than only in the mesh limit.
 
 One pass per field: ``_dense_pass`` builds the difference table
 d_ij = u_i - u_j once, in a reused per-thread workspace, and returns both the
-operator and the Gagliardo sum; through ``pair_pass`` it gives every report
-one pass per field, and through ``pair_values``, which takes nodal values and
-weight tables resolved once by the caller, ``dynamics.rhs`` one pass per field
-per stage.  ``apply_operator``, ``gagliardo_sum`` and ``bracket`` run the same
-pass with one of its two outputs switched off.  ``gagliardo_rows`` runs it on
-stacks of fields, one difference table each, for the well-depth directions.
+operator and the Gagliardo sum; through ``pair_values``, which takes nodal
+values and weight tables resolved once by the caller, ``dynamics.rhs`` gets
+one pass per field per stage.  ``apply_operator``, ``gagliardo_sum`` and
+``bracket`` run the same pass with one of its two outputs switched off.
+``gagliardo_rows`` runs it on stacks of fields, one difference table each,
+for the well-depth directions and every fibering ray.
 The operator and the Gagliardo sum are written here only.
 The bracket stays sum |d|^p W h^(2N)/p, with its own power of |d|, and is
 never taken from the duality shortcut inner(Lu, u)/p: the shortcut differs in
@@ -33,15 +33,15 @@ the last bits, and the adaptive step controller amplifies ulp changes in K(A)
 into the step size.  Every output is therefore bit-identical to the separate
 passes.
 
-Two fields, two cores: ``pair_pass`` runs the passes of u and v, which share
-no data, side by side.  v's pass goes to one daemon worker thread, started on
-first use, while the calling thread runs u's; numpy releases the interpreter
-lock inside each ufunc, so the two overlap.  The worker is used from
-``_THREADED_MIN_NODES`` nodes on and only when the process may run on two
-CPUs; below that the handoff costs more than it saves and the two passes run
-one after the other.  Each pass runs the same ufuncs in the same order either
-way, so the results are bit-identical.  ``dynamics.rhs``, every energy report
-and fibering ray, the well-depth directions and the log-coupling bound gap go
+Two fields, two cores: ``pair_values`` runs the passes of u and v, which
+share no data, side by side.  v's pass goes to one daemon worker thread,
+started on first use, while the calling thread runs u's; numpy releases the
+interpreter lock inside each ufunc, so the two overlap.  The worker is used
+from ``_THREADED_MIN_NODES`` nodes on and only when the process may run on
+two CPUs; below that the handoff costs more than it saves and the two passes
+run one after the other.  Each pass runs the same ufuncs in the same order
+either way, so the results are bit-identical.  ``dynamics.rhs`` and, through
+``gagliardo_rows``, the well-depth directions and every fibering ray go
 through it.
 """
 
@@ -95,8 +95,8 @@ def _pass_buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
     passes write into: M x M for one field, k x M x M for a stack of k.
 
     Each thread has its own workspace, reallocated only when the shape
-    changes, so a thread holds at most one pass's peak and ``pair_pass`` can
-    run one pass on each of two threads.  Fresh buffers per pass would let
+    changes, so a thread holds at most one pass's peak and ``pair_values``
+    can run one pass on each of two threads.  Fresh buffers per pass would let
     the allocator return and re-fault their pages on every call.
     """
     buffers = getattr(_local, "buffers", None)
@@ -176,9 +176,9 @@ _worker_lock = threading.Lock()
 
 def _serve(jobs, results) -> None:
     while True:
-        fn, args = jobs.get()
+        args = jobs.get()
         try:
-            results.put((fn(*args), None))
+            results.put((_dense_pass(*args), None))
         except Exception as exc:    # raised again on the caller
             results.put((None, exc))
 
@@ -193,13 +193,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _side_by_side(m: int, fn, args_u: tuple, args_v: tuple) -> tuple:
-    """``(fn(*args_u), fn(*args_v))`` for passes over m nodes: from
-    ``_THREADED_MIN_NODES`` on, the second runs on the worker thread while
-    the caller runs the first; an exception raised there is raised here."""
+def pair_values(
+    uu: np.ndarray, W_p: np.ndarray, vv: np.ndarray, W_q: np.ndarray, hN: float,
+    p: float, q: float, operator: bool
+) -> tuple[tuple[np.ndarray | None, float], tuple[np.ndarray | None, float]]:
+    """The dense passes of u (exponent p, weight table W_p) and v (exponent
+    q, table W_q) on nodal values, side by side; uu and vv may be stacks of
+    fields.
+
+    Returns ``(_dense_pass(uu, W_p, hN, p, operator, True),
+    _dense_pass(vv, W_q, hN, q, operator, True))``, bit for bit: per field,
+    the operator values (None unless ``operator``) and the Gagliardo sum.
+    From ``_THREADED_MIN_NODES`` nodes on, v's pass runs on the worker thread
+    while the caller runs u's; an exception raised there is raised here.
+    """
     global _worker
-    if m < _THREADED_MIN_NODES:
-        return fn(*args_u), fn(*args_v)
+    args_u, args_v = (uu, W_p, hN, p, operator, True), (vv, W_q, hN, q, operator, True)
+    if uu.shape[-1] < _THREADED_MIN_NODES:
+        return _dense_pass(*args_u), _dense_pass(*args_v)
     with _worker_lock:      # one caller at a time: results come back in order
         if _worker is None:
             from _queue import SimpleQueue    # loaded on first use, not at import
@@ -207,40 +218,14 @@ def _side_by_side(m: int, fn, args_u: tuple, args_v: tuple) -> tuple:
             threading.Thread(target=_serve, args=_worker, name="fracops-pair-pass",
                              daemon=True).start()
         jobs, results = _worker
-        jobs.put((fn, args_v))
+        jobs.put(args_v)
         try:
-            ru = fn(*args_u)
+            ru = _dense_pass(*args_u)
         finally:
             rv, exc = results.get()
     if exc is not None:
         raise exc
     return ru, rv
-
-
-def pair_pass(
-    u: GridField, p: float, v: GridField, q: float, s: float, operator: bool
-) -> tuple[tuple[np.ndarray | None, float], tuple[np.ndarray | None, float]]:
-    """The dense passes of u (exponent p) and v (exponent q), side by side.
-
-    Returns ``(_field_pass(u, p, s, operator, True),
-    _field_pass(v, q, s, operator, True))``, bit for bit: per field, the
-    operator values (None unless ``operator``) and the Gagliardo sum.  From
-    ``_THREADED_MIN_NODES`` nodes on, v's pass runs on the worker thread.
-    """
-    if p == q and len(u.values) >= _THREADED_MIN_NODES:
-        weight_table(u.domain, p, s)    # a shared table is built here once, not twice
-    return _side_by_side(len(u.values), _field_pass,
-                         (u, p, s, operator, True), (v, q, s, operator, True))
-
-
-def pair_values(
-    uu: np.ndarray, W_p: np.ndarray, vv: np.ndarray, W_q: np.ndarray, hN: float,
-    p: float, q: float, operator: bool
-) -> tuple[tuple[np.ndarray | None, float], tuple[np.ndarray | None, float]]:
-    """``pair_pass`` on nodal values and resolved weight tables, for callers
-    that pass the same grid many times; uu and vv may be stacks of fields."""
-    return _side_by_side(uu.shape[-1], _dense_pass, (uu, W_p, hN, p, operator, True),
-                         (vv, W_q, hN, q, operator, True))
 
 
 # A stacked pass's difference table takes at most this many bytes, under

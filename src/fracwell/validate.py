@@ -227,14 +227,14 @@ def suite_fibering(seed=106, pairs=8, psi_variant="consistent") -> SuiteResult:
         if not (ray.psi(star.value / 2, psi_variant) > 0 > ray.psi(star.value * 2, psi_variant)):
             res.fail(f"pair {k}: sign pattern broken around eps*={star.value}")
         # derivative identity against the configured variant, by central
-        # differences of direct scaled-field evaluations
+        # differences of direct scaled-field evaluations: the ray of each
+        # scaled pair, read at eps = 1
         for eps in (0.5, 1.0, 2.0):
             d = 1e-6 * eps
-            lo = variational.energy_report(u.scaled(eps - d), v.scaled(eps - d), params, Kp, Kq)
-            hi = variational.energy_report(u.scaled(eps + d), v.scaled(eps + d), params, Kp, Kq)
-            fd = (hi.phi - lo.phi) / (2 * d)
-            psi_over_eps = variational.energy_report(
-                u.scaled(eps), v.scaled(eps), params, Kp, Kq).psi(psi_variant) / eps
+            lo, mid, hi = (FiberingRay.from_pair(u.scaled(e), v.scaled(e), params, Kp, Kq)
+                           for e in (eps - d, eps, eps + d))
+            fd = (hi.phi(1.0) - lo.phi(1.0)) / (2 * d)
+            psi_over_eps = mid.psi(1.0, psi_variant) / eps
             res.checks += 1
             if abs(fd - psi_over_eps) > 1e-5 * (1.0 + abs(fd)):
                 res.fail(
@@ -408,7 +408,7 @@ def suite_dissipation(seed=112) -> SuiteResult:
     k, _, _ = dynamics.rhs(np.concatenate([u0.values, v0.values]),
                            dynamics.Flow.on(grid, params, Kp, Kq))
     chain = inner(GridField(grid, k[:n]), u0) + inner(GridField(grid, k[n:]), v0)
-    psi0 = variational.energy_report(u0, v0, params, Kp, Kq).psi_consistent
+    psi0 = FiberingRay.from_pair(u0, v0, params, Kp, Kq).psi_consistent(1.0)
     res.checks += 1
     if abs(chain + psi0) > 1e-10 * (1.0 + abs(psi0)):
         res.fail(f"energy chain mismatch: {chain} vs -psi={-psi0}")

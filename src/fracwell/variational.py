@@ -29,11 +29,12 @@ pairs are stacked rows (16 KiB per array), and their brackets and coupling
 sums come out per row from one pass over the chunk (stacked difference
 tables below ``fracops._THREADED_MIN_NODES`` nodes, the threaded pair pass
 from there on).  Every sum runs over one row, so each direction's fields
-and sums are bit-identical to those of a lone direction.
+and sums are bit-identical to those of a lone direction; a lone pair's
+fibering ray is the same code on a stack of one.
 
 The projection runs on arrays: all sampled rays are stacked into one batch
 ``FiberingRay`` and expanded and bisected together, each ray under the same
-rules as a lone ray (a single ``find_epsilon_star`` is a batch of one).  The
+rules as a lone ray (``FiberingRay.epsilon_star`` is a batch of one).  The
 results are bit-identical to a scalar bisection per ray.  That needs the
 powers of eps to go through libm ``pow``, element by element, as Python's
 float ``**`` does for a lone ray: numpy's vectorised power differs from libm
@@ -52,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracops import gagliardo_rows, gagliardo_sum, pair_pass, weight_table
+from .fracops import gagliardo_rows, gagliardo_sum, weight_table
 from .grids import (
     FieldPair, GridDomain, GridField, GridError, discrete_norm, random_smooth_field, sample_field,
     smooth_mode_rows,
@@ -122,11 +123,12 @@ def log_coupling(u: GridField, v: GridField, sigma: float) -> float:
 
 
 def _ray_sums(u: GridField, v: GridField, params: ModelParams) -> dict[str, float]:
-    """The six sums a ``FiberingRay`` holds, by field name: both brackets from
-    one pair pass, the four coupling integrals from ``_couplings``."""
-    p, q = params.p, params.q
-    (_, gag_u), (_, gag_v) = pair_pass(u, p, v, q, params.s, operator=False)
-    return dict(bracket_u=gag_u / p, bracket_v=gag_v / q, **_couplings(u, v, params.sigma))
+    """The six sums a ``FiberingRay`` holds, by field name: ``_ray_rows`` on
+    a stack of one pair."""
+    if u.domain != v.domain:
+        raise GridError("ray sums need a shared domain")
+    rows = _ray_rows(u.values[None], v.values[None], u.domain, params)
+    return {name: float(total[0]) for name, total in rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +146,6 @@ _RAY_SUMS = ("bracket_u", "bracket_v", "coupling_mass", "log_coupling",
              "coupling_high", "log_coupling_high")
 
 
-def _psi_name(variant: str) -> str:
-    """The attribute that holds the given Nehari variant."""
-    if variant not in ("consistent", "printed"):
-        raise ValueError(f"unknown psi variant {variant!r}")
-    return "psi_" + variant
-
-
 @dataclass(frozen=True)
 class EpsilonStar:
     value: float
@@ -166,8 +161,9 @@ class FiberingRay:
     All functionals are homogeneous along the ray, so the pairwise sums are
     computed once and rescaled analytically; values agree with direct
     evaluation at the scaled fields to floating-point homogeneity accuracy.
-    phi, psi_consistent and psi_printed are written here only: an energy
-    report and every trace row are their ray evaluated at eps = 1.
+    phi, psi_consistent and psi_printed are written here only: the energy
+    and Nehari values of a state, and every trace row, are its ray evaluated
+    at eps = 1, where every power of eps and log(eps) is exact.
 
     The sums may also be equal-length arrays (see ``stack``): the object is
     then a batch of rays sharing params and coefficients, and each method
@@ -232,7 +228,9 @@ class FiberingRay:
         return k_eval(self.K_p, A) * (p * A) + k_eval(self.K_q, B) * (q * B) - 2.0 * high
 
     def psi(self, eps: float, variant: str = "consistent") -> float:
-        return getattr(self, _psi_name(variant))(eps)
+        if variant not in ("consistent", "printed"):
+            raise ValueError(f"unknown psi variant {variant!r}")
+        return getattr(self, "psi_" + variant)(eps)
 
     def psi_scale(self, eps: float) -> float:
         """Magnitude of the two coefficient terms; reference scale for residuals."""
@@ -254,8 +252,19 @@ class FiberingRay:
 
     def epsilon_star(self, variant: str = "consistent", eps_min: float = 1e-8,
                      eps_max: float = 1e8, rel_tol: float = 1e-10) -> EpsilonStar:
-        """Critical scale of this ray (see ``find_epsilon_star``): the batch
-        projection ``_project_rays`` on a batch of one, with psi at eps*."""
+        """Locate the critical scale where psi(eps u, eps v) crosses zero.
+
+        Bisection in log-eps on the sign change of the chosen Nehari variant,
+        after geometric expansion of the bracket from eps = 1: the batch
+        projection ``_project_rays`` on a batch of one, with psi at eps*.
+        Raises ``BracketingError`` when no sign change exists inside
+        [eps_min, eps_max] (possible e.g. when u and v have disjoint
+        supports, so the coupling never turns the derivative negative), and
+        when all six sums vanish, as for the zero pair: psi is then zero
+        for every eps, so no root is isolated.
+        """
+        if not any(getattr(self, name) for name in _RAY_SUMS):
+            raise BracketingError("fibering root not bracketed: psi vanishes on the whole ray")
         star, iters, side = _project_rays(FiberingRay.stack([self]), variant,
                                           eps_min, eps_max, rel_tol)
         if side[0]:
@@ -264,84 +273,6 @@ class FiberingRay:
         value = float(star[0])
         return EpsilonStar(value, self.psi(value, variant), self.psi_scale(value),
                            int(iters[0]))
-
-
-# ---------------------------------------------------------------------------
-# energy / Nehari report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """All variational quantities of one state (u, v)."""
-
-    bracket_u: float
-    bracket_v: float
-    coupling_mass: float
-    log_coupling: float
-    coupling_high: float
-    log_coupling_high: float
-    phi: float
-    psi_consistent: float
-    psi_printed: float
-    l2_u: float
-    l2_v: float
-
-    def psi(self, variant: str = "consistent") -> float:
-        return getattr(self, _psi_name(variant))
-
-
-def energy_report(
-    u: GridField, v: GridField, params: ModelParams, K_p: KirchhoffFn, K_q: KirchhoffFn
-) -> EnergyReport:
-    """The energy, both Nehari variants and their ingredients: the fibering
-    ray of (u, v) at eps = 1, where every power of eps and log(eps) is exact."""
-    sums = _ray_sums(u, v, params)
-    ray = FiberingRay(params, K_p, K_q, **sums)
-    return EnergyReport(
-        **sums, phi=float(ray.phi(1.0)), psi_consistent=float(ray.psi_consistent(1.0)),
-        psi_printed=float(ray.psi_printed(1.0)),
-        l2_u=discrete_norm(u, 2.0), l2_v=discrete_norm(v, 2.0),
-    )
-
-
-def fibering_scan(
-    u: GridField,
-    v: GridField,
-    params: ModelParams,
-    K_p: KirchhoffFn,
-    K_q: KirchhoffFn,
-    eps_grid: Sequence[float],
-) -> dict[str, np.ndarray]:
-    """Functional evaluations at the scaled pairs (eps u, eps v) of a nonzero
-    pair: the columns of ``FiberingRay.scan`` on the fibering ray of (u, v)."""
-    if u.max_abs() == 0.0 and v.max_abs() == 0.0:
-        raise ValueError("fibering scan needs a nonzero pair")
-    return FiberingRay.from_pair(u, v, params, K_p, K_q).scan(eps_grid)
-
-
-def find_epsilon_star(
-    u: GridField,
-    v: GridField,
-    params: ModelParams,
-    K_p: KirchhoffFn,
-    K_q: KirchhoffFn,
-    variant: str = "consistent",
-    eps_min: float = 1e-8,
-    eps_max: float = 1e8,
-    rel_tol: float = 1e-10,
-) -> EpsilonStar:
-    """Locate the critical fibering scale where psi(eps u, eps v) crosses zero.
-
-    Bisection in log-eps on the sign change of the chosen Nehari variant,
-    after geometric expansion of the bracket from eps = 1.  Raises
-    ``BracketingError`` when no sign change exists inside [eps_min, eps_max]
-    (possible e.g. when u and v have disjoint supports, so the coupling never
-    turns the derivative negative).
-    """
-    if u.max_abs() == 0.0 and v.max_abs() == 0.0:
-        raise BracketingError("fibering root not bracketed: zero pair")
-    ray = FiberingRay.from_pair(u, v, params, K_p, K_q)
-    return ray.epsilon_star(variant, eps_min, eps_max, rel_tol)
 
 
 def _project_rays(ray: FiberingRay, variant: str, eps_min: float = 1e-8,
@@ -457,7 +388,7 @@ def _direction_chunks(grid: GridDomain, count: int, seed: int, modes: int = 6):
 def _ray_rows(U: np.ndarray, V: np.ndarray, grid: GridDomain,
               params: ModelParams) -> dict[str, np.ndarray]:
     """The six ray sums of every row pair (U[i], V[i]), by field name, each
-    equal bit for bit to ``_ray_sums`` of that pair: the brackets from
+    equal bit for bit to the sums of that pair alone: the brackets from
     ``gagliardo_rows``, the couplings from ``_coupling_rows``."""
     p, q, s, hN = params.p, params.q, params.s, grid.cell_measure
     gag_u, gag_v = gagliardo_rows(U, weight_table(grid, p, s), V, weight_table(grid, q, s),
@@ -617,8 +548,8 @@ def classify_initial_data(
             t_max_bound=math.inf,
             note="origin excluded: fibering undefined at (0, 0)",
         )
-    rep = energy_report(u0, v0, params, K_p, K_q)
-    phi0, psi0 = rep.phi, rep.psi(variant)
+    ray = FiberingRay.from_pair(u0, v0, params, K_p, K_q)
+    phi0, psi0 = float(ray.phi(1.0)), float(ray.psi(1.0, variant))
     verdict, kind, expo, bound = "Indeterminate", "n/a", None, math.inf
     note = "phi0 >= d_star: hypotheses not met"
     if phi0 < d_star and psi0 >= 0.0:
@@ -712,9 +643,8 @@ def log_coupling_bound_gap(
     check based on it should be skipped.
     """
     p, q, sig, s = params.p, params.q, params.sigma, params.s
-    (_, gag_u), (_, gag_v) = pair_pass(u, p, v, q, s, operator=False)
-    su = gag_u ** (1.0 / p)
-    sv = gag_v ** (1.0 / q)
+    su = gagliardo_sum(u, p, s) ** (1.0 / p)
+    sv = gagliardo_sum(v, q, s) ** (1.0 / q)
     if su <= 0.0 or sv <= 0.0:
         raise ValueError("log-coupling bound needs nonzero seminorms")
     lhs = log_coupling(u, v, sig)
@@ -767,16 +697,14 @@ def well_lower_bound(
     u: GridField, v: GridField, params: ModelParams, K_p: KirchhoffFn, K_q: KirchhoffFn
 ) -> WellLowerBound:
     p, q, sig, beta = params.p, params.q, params.sigma, params.beta
-    rep = energy_report(u, v, params, K_p, K_q)
+    ray = FiberingRay.from_pair(u, v, params, K_p, K_q)
+    A, B = ray.bracket_u, ray.bracket_v
     coeff = 1.0 / (q * (beta + 1.0)) - 1.0 / sig
-    ku = k_eval(K_p, rep.bracket_u) * rep.bracket_u
-    kv = k_eval(K_q, rep.bracket_v) * rep.bracket_v
-    leftover = rep.coupling_mass / sig ** 2 + rep.log_coupling / sig
-    kirchhoff_part = rep.phi - rep.psi_consistent / sig - leftover
+    leftover = ray.coupling_mass / sig ** 2 + ray.log_coupling / sig
+    kirchhoff_part = float(ray.phi(1.0)) - float(ray.psi_consistent(1.0)) / sig - leftover
     return WellLowerBound(
         kirchhoff_part=kirchhoff_part,
-        bracket_bound=coeff * (ku + kv),
-        printed_bound=coeff * (k_eval(K_p, rep.bracket_u) * (p * rep.bracket_u)
-                               + k_eval(K_q, rep.bracket_v) * (q * rep.bracket_v)),
+        bracket_bound=coeff * (k_eval(K_p, A) * A + k_eval(K_q, B) * B),
+        printed_bound=coeff * (k_eval(K_p, A) * (p * A) + k_eval(K_q, B) * (q * B)),
         coupling_leftover=leftover,
     )

@@ -23,8 +23,8 @@ import pytest
 from fracwell import (
     FiberingRay, GridField, IntegratorControls, KirchhoffFn, apply_operator,
     bilinear_form, bracket, build_grid, classify_initial_data, compute_d_star,
-    decay_fit, energy_identity_residual, energy_report, estimate_well_depth,
-    find_epsilon_star, gagliardo_sum, inner, integrate,
+    decay_fit, energy_identity_residual, estimate_well_depth,
+    gagliardo_sum, inner, integrate,
     sample_field, tail_decay_check, validate_params,
 )
 from fracwell.fracops import apply_operator_naive, gagliardo_sum_naive
@@ -105,12 +105,12 @@ def test_criterion_3_fibering(params, K):
         rng = np.random.default_rng(1000 + seed)
         u = random_smooth_field(grid, rng, 5)
         v = random_smooth_field(grid, rng, 5)
+        ray = FiberingRay.from_pair(u, v, params, K, K)
         try:
-            star = find_epsilon_star(u, v, params, K, K)
+            star = ray.epsilon_star()
         except Exception as exc:  # noqa: BLE001
             failures.append(f"pair {seed}: no eps* ({exc})")
             continue
-        ray = FiberingRay.from_pair(u, v, params, K, K)
         psis = ray.psi_consistent(eps_scan)
         down = np.flatnonzero(np.sign(psis[:-1]) > np.sign(psis[1:]))
         if len(down) != 1:
@@ -123,10 +123,10 @@ def test_criterion_3_fibering(params, K):
             failures.append(f"pair {seed}: phi max not within one cell of eps*")
         for eps in (0.5, 1.0, 2.0):
             d = 1e-6 * eps
-            fd = (energy_report(u.scaled(eps + d), v.scaled(eps + d), params, K, K).phi
-                  - energy_report(u.scaled(eps - d), v.scaled(eps - d), params, K, K).phi
-                  ) / (2 * d)
-            psi = energy_report(u.scaled(eps), v.scaled(eps), params, K, K).psi_consistent
+            lo, mid, hi = (FiberingRay.from_pair(u.scaled(e), v.scaled(e), params, K, K)
+                           for e in (eps - d, eps, eps + d))
+            fd = (hi.phi(1.0) - lo.phi(1.0)) / (2 * d)
+            psi = mid.psi_consistent(1.0)
             if abs(fd - psi / eps) > 1e-5 * (1.0 + abs(fd)):
                 failures.append(f"pair {seed}: derivative identity off at eps={eps}")
     elapsed = time.perf_counter() - t0

@@ -14,6 +14,8 @@ from fracwell.cli import main
 from fracwell.config import ConfigError, ExperimentConfig
 from fracwell.svgplot import Series, plot_svg
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def make_config(tmp_path, amplitude=0.5, t_end=2.0, seed=3, nodes=32, rtol=1e-7,
                 directions=40, **extra):
@@ -80,6 +82,30 @@ class TestConfig:
         Kp, Kq = cfg.build_kirchhoff()
         u0, v0 = cfg.build_initial_pair(grid)
         assert u0.max_abs() > 0
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("integrator", "dt_max", -1), ("integrator", "dt_max", 0),
+        ("integrator", "t_end", -1), ("integrator", "t_end", None),
+        ("integrator", "rtol", "1e-8"),
+        ("well_depth", "directions", -1), ("well_depth", "directions", 2.5),
+        ("well_depth", "modes", 0), ("well_depth", "refine_iters", -3),
+    ])
+    def test_bad_values_fail_by_name(self, tmp_path, capsys, block, key, value):
+        # unchecked, such a value integrates backwards, stalls, crashes with
+        # exit 2 or runs silently: the run must stop before any work, by name
+        raw = json.loads((CONFIGS / "decay.json").read_text())
+        raw[block][key] = value
+        raw["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{block} '{key}'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_directions_keep_the_presets(self, tmp_path, capsys):
+        assert main(["well-depth", "--config", str(make_config(tmp_path, directions=0))]) == 0
+        assert json.loads(capsys.readouterr().out)["attempted"] == 3
 
     def test_unknown_kirchhoff_kind(self, tmp_path):
         path = make_config(tmp_path, kirchhoff_p={"kind": "mystery"})
@@ -357,3 +383,21 @@ def test_well_samples_match_golden_hashes(tmp_path, capsys, name):
     assert main(["well-depth", "--config", str(config), "--out", str(tmp_path)]) == 0
     data = (tmp_path / "run-seed1" / "well_samples.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_WELL_SAMPLES_SHA256[name]
+
+
+# SHA-256 of the stdout of ``fracwell validate`` under each psi variant, with
+# its exit code, recorded before the energy report and the scan and eps*
+# wrappers were folded into the fibering ray (numpy 2.4.6, Python 3.11,
+# x86-64 Linux; another numpy or libm may round differently).  The printed
+# variant exits 3 by design: the fibering-map suite is its negative control.
+GOLDEN_VALIDATE_SHA256 = {
+    "consistent": ("2c196b146dec0a01d73386d8e898e86319715a726790c2b76722d80b5ff30c8d", 0),
+    "printed": ("d2907b5dba71e973a587684e63107657b00eb4888528e1fd5905b34871a47e53", 3),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_VALIDATE_SHA256))
+def test_validate_stdout_matches_golden_hash(capsys, variant):
+    digest, code = GOLDEN_VALIDATE_SHA256[variant]
+    assert main(["validate", "--psi-variant", variant]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fracwell import (
-    Flow, GridField, IntegratorControls, KirchhoffFn, apply_operator, build_grid,
-    concavity_diagnostic, decay_fit, energy_identity_residual, fit_decay,
-    energy_report, inner, integrate, k_eval, rhs, sample_field, tail_decay_check,
+    FiberingRay, Flow, GridField, IntegratorControls, KirchhoffFn, apply_operator,
+    build_grid, concavity_diagnostic, decay_fit, discrete_norm, energy_identity_residual,
+    fit_decay, inner, integrate, k_eval, rhs, sample_field, tail_decay_check,
 )
 from fracwell.fracops import bracket
 from fracwell.params import ParamError
@@ -64,8 +64,8 @@ class TestRightHandSide:
             u, v = random_pair(grid32, 300 + seed)
             du, dv = field_rhs(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
             chain = inner(du, u) + inner(dv, v)
-            psi = energy_report(u, v, flagship_params, unit_kirchhoff,
-                                unit_kirchhoff).psi_consistent
+            psi = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff,
+                                        unit_kirchhoff).psi_consistent(1.0)
             assert abs(chain + psi) <= 1e-10 * (1.0 + abs(psi))
 
     def test_energy_chain_nonconstant_coefficients(self, grid32, flagship_params):
@@ -76,7 +76,7 @@ class TestRightHandSide:
         u, v = random_pair(grid32, 404)
         du, dv = field_rhs(u, v, flagship_params, Kp, Kq)
         chain = inner(du, u) + inner(dv, v)
-        psi = energy_report(u, v, flagship_params, Kp, Kq).psi_consistent
+        psi = FiberingRay.from_pair(u, v, flagship_params, Kp, Kq).psi_consistent(1.0)
         assert abs(chain + psi) <= 1e-10 * (1.0 + abs(psi))
 
     def test_gradient_of_energy(self, flagship_params, unit_kirchhoff):
@@ -86,13 +86,13 @@ class TestRightHandSide:
         du, dv = field_rhs(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         gsq = inner(du, du) + inner(dv, dv)
         d = 1e-7
-        hi = energy_report(GridField(g, u.values + d * du.values),
-                           GridField(g, v.values + d * dv.values),
-                           flagship_params, unit_kirchhoff, unit_kirchhoff)
-        lo = energy_report(GridField(g, u.values - d * du.values),
-                           GridField(g, v.values - d * dv.values),
-                           flagship_params, unit_kirchhoff, unit_kirchhoff)
-        assert (hi.phi - lo.phi) / (2 * d) == pytest.approx(-gsq, rel=1e-5)
+        hi = FiberingRay.from_pair(GridField(g, u.values + d * du.values),
+                                   GridField(g, v.values + d * dv.values),
+                                   flagship_params, unit_kirchhoff, unit_kirchhoff)
+        lo = FiberingRay.from_pair(GridField(g, u.values - d * du.values),
+                                   GridField(g, v.values - d * dv.values),
+                                   flagship_params, unit_kirchhoff, unit_kirchhoff)
+        assert (hi.phi(1.0) - lo.phi(1.0)) / (2 * d) == pytest.approx(-gsq, rel=1e-5)
 
 
 class TestIntegrate:
@@ -139,10 +139,14 @@ class TestIntegrate:
         u0, v0 = random_pair(grid32, 71)
         trace = integrate(u0, v0, flagship_params, Kp, Kq,
                           IntegratorControls(t_end=1e-3, rtol=1e-7))
-        rep = energy_report(u0, v0, flagship_params, Kp, Kq)
-        for name in ("phi", "psi_consistent", "psi_printed", "bracket_u", "bracket_v",
-                     "coupling_mass", "log_coupling", "l2_u", "l2_v"):
-            assert trace[name][0].tobytes() == np.float64(getattr(rep, name)).tobytes()
+        ray = FiberingRay.from_pair(u0, v0, flagship_params, Kp, Kq)
+        want = {name: getattr(ray, name)(1.0)
+                for name in ("phi", "psi_consistent", "psi_printed")}
+        want.update({name: getattr(ray, name)
+                     for name in ("bracket_u", "bracket_v", "coupling_mass", "log_coupling")})
+        want.update(l2_u=discrete_norm(u0, 2.0), l2_v=discrete_norm(v0, 2.0))
+        for name, value in want.items():
+            assert trace[name][0].tobytes() == np.float64(value).tobytes(), name
         assert len(trace) > 1
 
     def test_determinism(self, grid32, flagship_params, unit_kirchhoff):
@@ -159,6 +163,13 @@ class TestIntegrate:
             IntegratorControls(t_end=-1.0)
         with pytest.raises(ParamError):
             IntegratorControls(t_end=1.0, rtol=0.0)
+
+    @pytest.mark.parametrize("dt_max", [-1.0, 0.0, math.nan])
+    def test_dt_max_must_be_positive(self, dt_max):
+        # a negative cap would step backwards in time, a zero one never move
+        with pytest.raises(ParamError, match="dt_max"):
+            IntegratorControls(t_end=1.0, dt_max=dt_max)
+        assert IntegratorControls(t_end=1.0, dt_max=None).dt_max is None
 
 
 class TestEnergyIdentity:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracwell import fracops
+from fracwell import fracops, validate_params, variational
 from fracwell import (
     GridField, apply_operator, bilinear_form, bracket, build_grid,
     gagliardo_sum, inner, sample_field,
@@ -258,7 +258,7 @@ def test_workspace_reuse_leaves_earlier_results_alone():
 
 
 # ---------------------------------------------------------------------------
-# pair pass: v's pass on the worker thread
+# pair pass (``pair_values``): v's pass on the worker thread
 # ---------------------------------------------------------------------------
 
 def _bits(result):
@@ -271,6 +271,13 @@ def _pair(grid, seed):
     rng = np.random.default_rng(seed)
     return (GridField(grid, rng.normal(size=grid.node_count)),
             GridField(grid, rng.normal(size=grid.node_count)))
+
+
+def _pair_pass(u, p, v, q, s, operator):
+    """``pair_values`` of two fields on their resolved weight tables."""
+    return fracops.pair_values(u.values, weight_table(u.domain, p, s), v.values,
+                               weight_table(v.domain, q, s), u.domain.cell_measure,
+                               p, q, operator)
 
 
 @pytest.mark.parametrize("operator", [True, False])
@@ -294,7 +301,7 @@ def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold
 
     monkeypatch.setattr(fracops, "_dense_pass", recording_pass)
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
-    ru, rv = fracops.pair_pass(u, 3.0, v, 3.5, 0.4, operator)
+    ru, rv = _pair_pass(u, 3.0, v, 3.5, 0.4, operator)
     assert (_bits(ru), _bits(rv)) == (_bits(expected[0]), _bits(expected[1]))
     threads = dict(ran_on)
     assert threads[True] == threading.get_ident()                 # u on the caller
@@ -314,7 +321,7 @@ def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
     assert np.signbit(du[zeros]).any() and not np.signbit(du[zeros]).all()
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     h = grid.cell_measure
-    for (values, gag), w, e in zip(fracops.pair_pass(u, p, v, q, 0.4, True), (u, v), (p, q)):
+    for (values, gag), w, e in zip(_pair_pass(u, p, v, q, 0.4, True), (u, v), (p, q)):
         d = np.subtract.outer(w.values, w.values)
         W = weight_table(grid, e, 0.4)
         assert np.array_equal(
@@ -326,14 +333,20 @@ def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
 
 
 def test_pair_pass_raises_worker_and_caller_errors(monkeypatch):
+    # the exponents are checked where the tables are resolved, on the caller;
+    # a table of the wrong shape fails inside the pass itself
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
-    u, v = _pair(build_grid(1.0, 10), 5)
-    with pytest.raises(ValueError, match="p > 1") as info:
-        fracops.pair_pass(u, 3.0, v, 1.0, 0.5, True)
+    grid = build_grid(1.0, 10)
+    u, v = _pair(grid, 5)
+    W, h = weight_table(grid, 3.0, 0.5), grid.cell_measure
+    W_bad = weight_table(build_grid(1.0, 4), 3.0, 0.5)
+    with pytest.raises(ValueError, match="broadcast") as info:
+        fracops.pair_values(u.values, W, v.values, W_bad, h, 3.0, 3.0, True)
     assert "_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]
-    with pytest.raises(ValueError, match="p > 1"):
-        fracops.pair_pass(u, 0.5, v, 3.0, 0.5, True)      # caller side: worker drained
-    ru, rv = fracops.pair_pass(u, 3.0, v, 2.5, 0.5, True)
+    with pytest.raises(ValueError, match="broadcast") as info:   # caller side: worker drained
+        fracops.pair_values(u.values, W_bad, v.values, W, h, 3.0, 3.0, True)
+    assert "_serve" not in [frame.name for frame in traceback.extract_tb(info.tb)]
+    ru, rv = _pair_pass(u, 3.0, v, 2.5, 0.5, True)
     assert _bits(ru) == _bits(fracops._field_pass(u, 3.0, 0.5, True, True))
     assert _bits(rv) == _bits(fracops._field_pass(v, 2.5, 0.5, True, True))
 
@@ -349,7 +362,7 @@ def test_pair_pass_from_concurrent_callers(monkeypatch):
     def caller(k):
         u, v = pairs[k]
         for _ in range(50):
-            ru, rv = fracops.pair_pass(u, 3.0, v, 2.5, 0.5, True)
+            ru, rv = _pair_pass(u, 3.0, v, 2.5, 0.5, True)
             if (_bits(ru), _bits(rv)) != expected[k]:
                 wrong.append(k)
 
@@ -370,7 +383,7 @@ def test_pair_pass_from_concurrent_callers(monkeypatch):
 def test_forked_child_runs_a_threaded_pass(monkeypatch):
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     u, v = _pair(build_grid(1.0, 16), 9)
-    expected = tuple(map(_bits, fracops.pair_pass(u, 3.0, v, 3.5, 0.5, True)))
+    expected = tuple(map(_bits, _pair_pass(u, 3.0, v, 3.5, 0.5, True)))
     assert fracops._worker is not None      # the parent's worker is running
     pid = os.fork()
     if pid == 0:
@@ -379,7 +392,7 @@ def test_forked_child_runs_a_threaded_pass(monkeypatch):
             # a child waiting on its parent's worker, which it does not have,
             # is killed by the alarm instead of hanging the suite
             signal.alarm(30)
-            got = tuple(map(_bits, fracops.pair_pass(u, 3.0, v, 3.5, 0.5, True)))
+            got = tuple(map(_bits, _pair_pass(u, 3.0, v, 3.5, 0.5, True)))
             code = 0 if got == expected else 2
         finally:
             os._exit(code)
@@ -388,10 +401,14 @@ def test_forked_child_runs_a_threaded_pass(monkeypatch):
 
 
 def test_pair_pass_builds_a_shared_weight_table_once(monkeypatch):
+    # with p == q both fields' tables are one, resolved on the caller before
+    # the worker starts: the cache misses once, not once per thread
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     grid = build_grid(1.0, 400)         # a table no other test asks for
     u, v = _pair(grid, 37)
+    params = validate_params(N=1, s=0.37, p=2.75, q=2.75, sigma=4.0, beta=0.0,
+                             mode="operations")
     before = fracops._weight_table.cache_info()
-    fracops.pair_pass(u, 2.75, v, 2.75, 0.37, True)
+    variational._ray_sums(u, v, params)
     after = fracops._weight_table.cache_info()
     assert after.misses - before.misses == 1

@@ -7,13 +7,13 @@ import pytest
 from fracwell import (
     BracketingError, ExperimentConfig, FiberingRay, GridField, KirchhoffFn,
     blowup_time_bound, build_grid, classify_initial_data, compute_d_star, coupling_mass,
-    energy_report, estimate_embedding_constant,
-    estimate_well_depth, fibering_scan, find_epsilon_star, gagliardo_sum,
+    estimate_embedding_constant, estimate_well_depth, gagliardo_sum,
     log_coupling, log_coupling_bound_gap, sample_field,
     validate_params, well_lower_bound,
 )
-from fracwell import variational
+from fracwell import fracops, variational
 from fracwell.fracops import bracket
+from fracwell.grids import GridError
 from fracwell.params import ParamError
 from fracwell.variational import embedding_bound_constant
 
@@ -53,40 +53,41 @@ class TestCouplingIntegrals:
 
 
 class TestEnergyReport:
+    # the energy and Nehari values of a state are its fibering ray at eps = 1
     def test_zero_pair(self, grid2, ops_params, unit_kirchhoff):
         z = GridField(grid2, np.zeros(2))
-        rep = energy_report(z, z, ops_params, unit_kirchhoff, unit_kirchhoff)
-        assert rep.phi == 0.0
-        assert rep.psi_consistent == 0.0 and rep.psi_printed == 0.0
+        ray = FiberingRay.from_pair(z, z, ops_params, unit_kirchhoff, unit_kirchhoff)
+        assert ray.phi(1.0) == 0.0
+        assert ray.psi_consistent(1.0) == 0.0 and ray.psi_printed(1.0) == 0.0
 
     def test_two_node_worked_example(self, grid2, ops_params, unit_kirchhoff):
         u = GridField(grid2, np.array([1.0, 0.0]))
-        rep = energy_report(u, u, ops_params, unit_kirchhoff, unit_kirchhoff)
-        assert rep.bracket_u == pytest.approx(1.0)
-        assert rep.bracket_v == pytest.approx(1.0)
-        assert rep.coupling_mass == pytest.approx(0.5)
-        assert rep.log_coupling == 0.0
-        assert rep.phi == pytest.approx(1.03125)
-        assert rep.psi_consistent == pytest.approx(2.0)
-        assert rep.psi_printed == pytest.approx(4.0)
+        ray = FiberingRay.from_pair(u, u, ops_params, unit_kirchhoff, unit_kirchhoff)
+        assert ray.bracket_u == pytest.approx(1.0)
+        assert ray.bracket_v == pytest.approx(1.0)
+        assert ray.coupling_mass == pytest.approx(0.5)
+        assert ray.log_coupling == 0.0
+        assert ray.phi(1.0) == pytest.approx(1.03125)
+        assert ray.psi_consistent(1.0) == pytest.approx(2.0)
+        assert ray.psi_printed(1.0) == pytest.approx(4.0)
 
     def test_bracket_scaling_law(self, grid32, flagship_params, unit_kirchhoff):
         u, v = random_pair(grid32, 21)
-        rep1 = energy_report(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        rep1 = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         eps = 1.37
-        rep2 = energy_report(u.scaled(eps), v.scaled(eps), flagship_params,
-                             unit_kirchhoff, unit_kirchhoff)
+        rep2 = FiberingRay.from_pair(u.scaled(eps), v.scaled(eps), flagship_params,
+                                     unit_kirchhoff, unit_kirchhoff)
         assert rep2.bracket_u == pytest.approx(eps ** 3.0 * rep1.bracket_u, rel=1e-12)
         assert rep2.bracket_v == pytest.approx(eps ** 3.5 * rep1.bracket_v, rel=1e-12)
         assert rep2.coupling_mass == pytest.approx(eps ** 8 * rep1.coupling_mass, rel=1e-12)
 
     def test_psi_selector(self, grid2, ops_params, unit_kirchhoff):
         u = GridField(grid2, np.array([1.0, 0.0]))
-        rep = energy_report(u, u, ops_params, unit_kirchhoff, unit_kirchhoff)
-        assert rep.psi("consistent") == pytest.approx(2.0)
-        assert rep.psi("printed") == pytest.approx(4.0)
+        ray = FiberingRay.from_pair(u, u, ops_params, unit_kirchhoff, unit_kirchhoff)
+        assert ray.psi(1.0, "consistent") == pytest.approx(2.0)
+        assert ray.psi(1.0, "printed") == pytest.approx(4.0)
         with pytest.raises(ValueError, match="variant"):
-            rep.psi("both")
+            ray.psi(1.0, "both")
 
 
 class TestBatchedRay:
@@ -97,15 +98,14 @@ class TestBatchedRay:
     ], ids=["affine_power", "log1p", "table"])
     def test_stack_at_ones_equals_energy_reports_bitwise(self, grid32, flagship_params, K):
         # a trace evaluates its rows as one stacked ray at eps = 1; each row
-        # must be the pair's energy report to the last bit
+        # must be the pair's own ray at the scalar eps = 1 to the last bit
         pairs = [tuple(w.scaled(a) for w in random_pair(grid32, 60 + k))
                  for k, a in enumerate(np.geomspace(0.05, 15.0, 48))]
-        rays = FiberingRay.stack([FiberingRay.from_pair(u, v, flagship_params, K, K)
-                                  for u, v in pairs])
-        reports = [energy_report(u, v, flagship_params, K, K) for u, v in pairs]
+        lone = [FiberingRay.from_pair(u, v, flagship_params, K, K) for u, v in pairs]
+        rays = FiberingRay.stack(lone)
         ones = np.ones(len(pairs))
         for name in ("phi", "psi_consistent", "psi_printed"):
-            want = np.array([getattr(rep, name) for rep in reports])
+            want = np.array([getattr(ray, name)(1.0) for ray in lone])
             assert getattr(rays, name)(ones).tobytes() == want.tobytes(), name
 
 
@@ -114,11 +114,12 @@ class TestFibering:
         u, v = random_pair(grid32, 31)
         ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         for eps in (0.3, 1.0, 2.4):
-            rep = energy_report(u.scaled(eps), v.scaled(eps), flagship_params,
-                                unit_kirchhoff, unit_kirchhoff)
-            assert ray.phi(eps) == pytest.approx(rep.phi, rel=1e-12, abs=1e-14)
-            assert ray.psi_consistent(eps) == pytest.approx(rep.psi_consistent, rel=1e-12)
-            assert ray.psi_printed(eps) == pytest.approx(rep.psi_printed, rel=1e-12)
+            direct = FiberingRay.from_pair(u.scaled(eps), v.scaled(eps), flagship_params,
+                                           unit_kirchhoff, unit_kirchhoff)
+            assert ray.phi(eps) == pytest.approx(direct.phi(1.0), rel=1e-12, abs=1e-14)
+            assert ray.psi_consistent(eps) == pytest.approx(direct.psi_consistent(1.0),
+                                                            rel=1e-12)
+            assert ray.psi_printed(eps) == pytest.approx(direct.psi_printed(1.0), rel=1e-12)
 
     def test_ray_sums_from_one_pair_pass_and_one_masked_log(
             self, grid32, flagship_params, unit_kirchhoff, monkeypatch):
@@ -135,31 +136,34 @@ class TestFibering:
             coupling_high=float(np.sum((au * av) ** (sig + 1.0)) * hN),
             log_coupling_high=float(np.sum((au[mask] * av[mask]) ** (sig + 1.0) * lg) * hN))
         calls = []
-        for name in ("_masked_log_product", "pair_pass"):
-            real = getattr(variational, name)
-            monkeypatch.setattr(variational, name,
+        for module, name in ((variational, "_masked_log_product"), (fracops, "pair_values")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *a, _real=real, _name=name, **k:
                                 calls.append(_name) or _real(*a, **k))
         ray = FiberingRay.from_pair(u, v, prm, unit_kirchhoff, unit_kirchhoff)
-        assert sorted(calls) == ["_masked_log_product", "pair_pass"]
+        assert sorted(calls) == ["_masked_log_product", "pair_values"]
         for name, value in expected.items():
             assert np.float64(getattr(ray, name)).tobytes() == np.float64(value).tobytes(), name
-        rep = energy_report(u, v, prm, unit_kirchhoff, unit_kirchhoff)
-        assert all(getattr(rep, name) == value for name, value in expected.items())
+
+    def test_ray_sums_need_a_shared_domain(self, grid32, flagship_params, unit_kirchhoff):
+        u = sample_field(grid32, "sine", 1.0)
+        v = sample_field(build_grid(1.0, 16), "sine", 1.0)
+        with pytest.raises(GridError, match="shared domain"):
+            FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
 
     def test_scan_limits_and_sign_pattern(self, grid32, flagship_params, unit_kirchhoff):
         u = sample_field(grid32, "sine", 1.0)
         v = sample_field(grid32, "bump", 1.0)
+        ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         # energy vanishes at the small end of the ray
-        tiny = fibering_scan(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff, [1e-6])
+        tiny = ray.scan([1e-6])
         assert abs(tiny["phi"][0]) < 1e-8
         # energy is negative and decreasing at the large end
-        big = fibering_scan(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff,
-                            [30.0, 60.0])
+        big = ray.scan([30.0, 60.0])
         assert big["phi"][0] < 0.0 and big["phi"][1] < big["phi"][0]
         # single sign change of psi along a dense scan
         eps = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 600))
-        ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         signs = np.sign(ray.psi_consistent(eps))
         assert np.sum(np.abs(np.diff(signs)) > 0) == 1
 
@@ -182,16 +186,17 @@ class TestFibering:
 
     def test_scan_input_validation(self, grid32, flagship_params, unit_kirchhoff):
         u = sample_field(grid32, "sine", 1.0)
+        ray = FiberingRay.from_pair(u, u, flagship_params, unit_kirchhoff, unit_kirchhoff)
         with pytest.raises(ValueError, match="empty"):
-            fibering_scan(u, u, flagship_params, unit_kirchhoff, unit_kirchhoff, [])
+            ray.scan([])
         with pytest.raises(ValueError, match="positive"):
-            fibering_scan(u, u, flagship_params, unit_kirchhoff, unit_kirchhoff, [-1.0, 1.0])
+            ray.scan([-1.0, 1.0])
 
     def test_epsilon_star_contract(self, grid32, flagship_params, unit_kirchhoff):
         u, v = random_pair(grid32, 77)
-        star = find_epsilon_star(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
-        assert abs(star.residual) <= 1e-8 * (star.residual_scale + 1e-300)
         ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        star = ray.epsilon_star()
+        assert abs(star.residual) <= 1e-8 * (star.residual_scale + 1e-300)
         assert ray.psi_consistent(star.value / 2) > 0
         assert ray.psi_consistent(star.value * 2) < 0
 
@@ -204,7 +209,7 @@ class TestFibering:
         psis = ray.psi_consistent(eps)
         crossings = np.flatnonzero(np.sign(psis[:-1]) > np.sign(psis[1:]))
         assert len(crossings) == 1
-        star = find_epsilon_star(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        star = ray.epsilon_star()
         assert eps[crossings[0]] <= star.value <= eps[crossings[0] + 1]
 
     def test_disjoint_supports_fail_bracketing(self, flagship_params, unit_kirchhoff):
@@ -212,25 +217,41 @@ class TestFibering:
         u = sample_field(g, "indicator", 1.0, subbox_lo=0.0, subbox_hi=0.5)
         v = sample_field(g, "indicator", 1.0, subbox_lo=0.5, subbox_hi=1.0)
         assert coupling_mass(u, v, 4.0) == 0.0
+        ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
         with pytest.raises(BracketingError, match="not bracketed"):
-            find_epsilon_star(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
+            ray.epsilon_star()
 
     def test_zero_pair_fails(self, grid2, flagship_params, unit_kirchhoff):
         z = GridField(grid2, np.zeros(2))
         with pytest.raises(BracketingError):
-            find_epsilon_star(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff)
+            FiberingRay.from_pair(z, z, flagship_params, unit_kirchhoff,
+                                  unit_kirchhoff).epsilon_star()
+
+    @pytest.mark.parametrize("variant", ["consistent", "printed"])
+    def test_all_zero_ray_has_no_isolated_root(self, grid32, flagship_params,
+                                               unit_kirchhoff, variant):
+        # psi vanishes for every eps when all six sums do: no root is isolated
+        zero = sample_field(grid32, "constant", 0.0)
+        one = sample_field(grid32, "constant", 1.0)
+        for u, v in ((zero, zero), (zero, one), (one, zero)):
+            ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
+            assert ray.psi(1.0, variant) == 0.0 and ray.psi(2.0, variant) == 0.0
+            with pytest.raises(BracketingError, match="vanishes on the whole ray"):
+                ray.epsilon_star(variant)
+        # the constant pair has a nonzero coupling: psi_c(1) = 0 is its own root
+        star = FiberingRay.from_pair(one, one, flagship_params, unit_kirchhoff,
+                                     unit_kirchhoff).epsilon_star()
+        assert star.value == 1.0 and star.iterations == 0
 
     def test_fibering_derivative_identity(self, grid32, flagship_params, unit_kirchhoff):
         u, v = random_pair(grid32, 5)
         for eps in (0.5, 1.0, 2.0):
             d = 1e-6 * eps
-            hi = energy_report(u.scaled(eps + d), v.scaled(eps + d), flagship_params,
-                               unit_kirchhoff, unit_kirchhoff)
-            lo = energy_report(u.scaled(eps - d), v.scaled(eps - d), flagship_params,
-                               unit_kirchhoff, unit_kirchhoff)
-            fd = (hi.phi - lo.phi) / (2 * d)
-            psi = energy_report(u.scaled(eps), v.scaled(eps), flagship_params,
-                                unit_kirchhoff, unit_kirchhoff).psi("consistent")
+            lo, mid, hi = (FiberingRay.from_pair(u.scaled(e), v.scaled(e), flagship_params,
+                                                 unit_kirchhoff, unit_kirchhoff)
+                           for e in (eps - d, eps, eps + d))
+            fd = (hi.phi(1.0) - lo.phi(1.0)) / (2 * d)
+            psi = mid.psi(1.0, "consistent")
             assert fd == pytest.approx(psi / eps, rel=1e-5)
 
 
@@ -266,16 +287,17 @@ class TestWellDepth:
         params, grid = cfg.build_params(), cfg.build_grid()
         Kp, Kq = cfg.build_kirchhoff()
         one = sample_field(grid, "constant", 1.0)
-        rep = energy_report(one, one, params, Kp, Kq)
-        assert rep.psi_consistent == 0.0
-        star = find_epsilon_star(one, one, params, Kp, Kq)
+        ray = FiberingRay.from_pair(one, one, params, Kp, Kq)
+        assert ray.psi_consistent(1.0) == 0.0
+        star = ray.epsilon_star()
         assert star.value == 1.0 and star.iterations == 0
-        assert rep.phi == grid.box_measure / params.sigma ** 2 == 0.0625
+        phi = ray.phi(1.0)
+        assert phi == grid.box_measure / params.sigma ** 2 == 0.0625
         wd = cfg.well_depth
         d = estimate_well_depth(grid, params, Kp, Kq, directions=wd["directions"],
                                 seed=cfg.seed, modes=wd["modes"]).d
         assert d == pytest.approx(0.934, abs=5e-4)
-        assert 14.0 < d / rep.phi < 16.0
+        assert 14.0 < d / phi < 16.0
 
 
 class TestThresholds:
@@ -355,8 +377,8 @@ class TestClassification:
         u = sample_field(grid48, "sine", 1.0)
         amps = np.geomspace(0.05, 20.0, 60)
         psis = np.array([
-            energy_report(u.scaled(a), u.scaled(a), flagship_params, unit_kirchhoff,
-                          unit_kirchhoff).psi_consistent
+            FiberingRay.from_pair(u.scaled(a), u.scaled(a), flagship_params, unit_kirchhoff,
+                                  unit_kirchhoff).psi_consistent(1.0)
             for a in amps
         ])
         signs = np.sign(psis)
