@@ -78,8 +78,7 @@ def cmd_simulate(args) -> int:
     params, grid, Kp, Kq, u0, v0 = _setup(cfg)
     est, cls = _classification(cfg, params, grid, Kp, Kq, u0, v0)
 
-    controls = dynamics.IntegratorControls(
-        **{k: None if v is None else float(v) for k, v in cfg.integrator.items()})
+    controls = dynamics.IntegratorControls(**cfg.integrator)
     trace = dynamics.integrate(u0, v0, params, Kp, Kq, controls)
 
     run_dir = cfg.run_dir()
@@ -173,10 +172,10 @@ def _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0, eps_lo, eps_hi, co
 def cmd_fibering(args) -> int:
     cfg = _load_config(args)
     params, grid, Kp, Kq, u0, v0 = _setup(cfg)
-    run_dir = cfg.run_dir()
-    run_dir.mkdir(parents=True, exist_ok=True)
     if u0.max_abs() == 0.0 and v0.max_abs() == 0.0:
         raise ValueError("fibering scan needs a nonzero pair")
+    run_dir = cfg.run_dir()
+    run_dir.mkdir(parents=True, exist_ok=True)
     _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0,
                         args.eps_min, args.eps_max, args.points)
     print(f"fibering scan with {args.points} points written to {run_dir}")

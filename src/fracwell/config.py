@@ -24,32 +24,30 @@ and in the "integrator" and "well_depth" blocks are rejected by name, so a
 typo such as "rtoll" fails instead of running with the default.  So is a bad
 value in those two blocks: every integrator control must be a positive
 number ("dt_max" may also be null), "directions" and "refine_iters" integers
->= 0 and "modes" an integer >= 1.
+>= 0 and "modes" an integer >= 1.  The integrator block's keys, defaults and
+value rule are those of ``dynamics.IntegratorControls``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
+from .dynamics import IntegratorControls
 from .grids import GridDomain, GridField, build_grid, sample_field
 from .kirchhoff import KirchhoffFn
-from .params import ModelParams, validate_params
+from .params import ModelParams, ParamError, validate_params
 
 
 class ConfigError(ValueError):
     pass
 
 
-_DEFAULTS_INTEGRATOR = {
-    "t_end": None,      # required: a missing value fails the value check
-    "dt_init": 1e-6,
-    "dt_min": 1e-13,
-    "rtol": 1e-8,
-    "blowup_threshold": 1e8,
-    "dt_max": None,
-}
+# the fields of IntegratorControls; a missing "t_end" reads as null, which
+# the class's value rule rejects
+_DEFAULTS_INTEGRATOR = {f.name: None if f.default is MISSING else f.default
+                        for f in fields(IntegratorControls)}
 _DEFAULTS_WELL = {"directions": 200, "modes": 6, "refine_iters": 0}
 
 
@@ -61,10 +59,10 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
 
 
 def _reject_bad_values(integ: dict, well: dict) -> None:
-    for key, value in integ.items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and value > 0 or key == "dt_max" and value is None):
-            raise ConfigError(f"integrator {key!r} must be a positive number, got {value!r}")
+    try:
+        IntegratorControls(**integ)
+    except ParamError as exc:
+        raise ConfigError(str(exc)) from exc
     for key, least in (("directions", 0), ("modes", 1), ("refine_iters", 0)):
         value = well[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < least:

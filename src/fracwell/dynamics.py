@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -126,6 +127,9 @@ _ROW = ("t", "dt", *_RAY_SUMS, "l2_u", "l2_v", "maxabs_u", "maxabs_v", "D", "ut_
 
 @dataclass(frozen=True)
 class IntegratorControls:
+    """Stepping controls: each a positive number (not a bool), stored as a
+    float; ``dt_max`` may also be None, for no cap on the step."""
+
     t_end: float
     dt_init: float = 1e-6
     dt_min: float = 1e-13
@@ -134,10 +138,13 @@ class IntegratorControls:
     dt_max: float | None = None
 
     def __post_init__(self):
-        for name in ("t_end", "dt_init", "dt_min", "rtol", "blowup_threshold", "dt_max"):
-            value = getattr(self, name)
-            if not (value is None and name == "dt_max" or value > 0):
-                raise ParamError(f"integrator control {name} must be positive, got {value!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "dt_max":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+                raise ParamError(f"integrator {f.name!r} must be a positive number, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
 
 
 @dataclass(frozen=True)

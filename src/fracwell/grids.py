@@ -22,18 +22,15 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class GridDomain:
-    """Cell-centered uniform grid over the box prod_i (o_i, o_i + extent_i).
+    """Cell-centered uniform grid over the box prod_i (0, extent_i).
 
     The spacing h is required to be identical across axes (node_count * h
     equals the extent exactly on each axis).  ``coords`` has shape (M, N) with
-    M the total node count; all nodes lie strictly inside the box.  The
-    origins default to zero; translating a box leaves every pairwise kernel
-    unchanged (they depend only on node distances).
+    M the total node count; all nodes lie strictly inside the box.
     """
 
     extents: tuple[float, ...]
     counts: tuple[int, ...]
-    origins: tuple[float, ...] = ()
     coords: np.ndarray = field(compare=False, repr=False, default=None)
     h: float = field(compare=False, default=0.0)
 
@@ -42,10 +39,6 @@ class GridDomain:
             raise GridError("extents and counts must be non-empty and of equal length")
         if len(self.extents) > 2:
             raise GridError("only N = 1 or 2 supported")
-        if not self.origins:
-            object.__setattr__(self, "origins", (0.0,) * len(self.extents))
-        if len(self.origins) != len(self.extents):
-            raise GridError("origins must match extents")
         if any(e <= 0 for e in self.extents):
             raise GridError(f"extents must be positive, got {self.extents}")
         if any(c < 2 for c in self.counts):
@@ -54,7 +47,7 @@ class GridDomain:
         h = spacings[0]
         if any(abs(sp - h) > 1e-12 * h for sp in spacings[1:]):
             raise GridError(f"non-uniform spacing request: per-axis h = {spacings}")
-        axes = [o + (np.arange(c) + 0.5) * h for o, c in zip(self.origins, self.counts)]
+        axes = [(np.arange(c) + 0.5) * h for c in self.counts]
         if len(axes) == 1:
             coords = axes[0][:, None]
         else:
@@ -129,22 +122,13 @@ class FieldPair:
 def build_grid(
     extents: Sequence[float] | float,
     counts: Sequence[int] | int,
-    origins: Sequence[float] | float | None = None,
 ) -> GridDomain:
     """Build a uniform cell-centered grid; scalars are promoted to 1-D."""
     if np.isscalar(extents):
         extents = [float(extents)]
     if np.isscalar(counts):
         counts = [int(counts)]
-    if origins is None:
-        origins = ()
-    elif np.isscalar(origins):
-        origins = [float(origins)]
-    return GridDomain(
-        tuple(float(e) for e in extents),
-        tuple(int(c) for c in counts),
-        tuple(float(o) for o in origins),
-    )
+    return GridDomain(tuple(float(e) for e in extents), tuple(int(c) for c in counts))
 
 
 PRESETS = ("constant", "sine", "bump", "indicator")
@@ -169,19 +153,19 @@ def sample_field(
         profile = np.ones(grid.node_count)
     elif preset == "sine":
         profile = np.ones(grid.node_count)
-        for ax, (ori, ext) in enumerate(zip(grid.origins, grid.extents)):
-            profile = profile * np.sin(np.pi * (x[:, ax] - ori) / ext)
+        for ax, ext in enumerate(grid.extents):
+            profile = profile * np.sin(np.pi * x[:, ax] / ext)
     elif preset == "bump":
         rho2 = np.zeros(grid.node_count)
-        for ax, (ori, ext) in enumerate(zip(grid.origins, grid.extents)):
-            rho2 += ((x[:, ax] - ori - 0.5 * ext) / (0.5 * ext)) ** 2
+        for ax, ext in enumerate(grid.extents):
+            rho2 += ((x[:, ax] - 0.5 * ext) / (0.5 * ext)) ** 2
         profile = np.zeros(grid.node_count)
         inside = rho2 < 1.0
         profile[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
     elif preset == "indicator":
         profile = np.ones(grid.node_count)
-        for ax, (ori, ext) in enumerate(zip(grid.origins, grid.extents)):
-            xi = (x[:, ax] - ori) / ext
+        for ax, ext in enumerate(grid.extents):
+            xi = x[:, ax] / ext
             profile = profile * ((xi >= subbox_lo) & (xi < subbox_hi))
     else:
         raise GridError(f"unknown preset {preset!r}; choose one of {PRESETS}")

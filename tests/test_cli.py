@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fracwell import fracops, variational
+from fracwell import GridField, fracops, variational
 from fracwell.cli import main
 from fracwell.config import ConfigError, ExperimentConfig
 from fracwell.svgplot import Series, plot_svg
+from fracwell.validate import SuiteResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -275,6 +277,12 @@ class TestFiberingCommand:
         svg = (run_dir / "fibering.svg").read_text()
         assert "outside scanned range" in svg
 
+    def test_zero_pair_fails_before_the_run_directory(self, tmp_path, capsys):
+        path = make_config(tmp_path, amplitude=0.0)
+        assert main(["fibering", "--config", str(path)]) == 2
+        assert "nonzero pair" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run-seed3").exists()
+
 
 class TestWellDepthCommand:
     def test_samples_csv_and_summary(self, tmp_path, capsys):
@@ -323,6 +331,23 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "[pass] constant-pair-nehari: 4 checks" in out
         assert "note: sampled d / constant-pair phi = " in out
+
+    @pytest.mark.parametrize("kernel, nan", [
+        ("gagliardo_sum", lambda u, p, s: math.nan),
+        ("apply_operator",
+         lambda u, p, s: GridField(u.domain, np.full(u.domain.node_count, math.nan))),
+    ], ids=["gagliardo_sum", "apply_operator"])
+    def test_nan_kernel_fails_the_operator_suite(self, capsys, monkeypatch, kernel, nan):
+        # every check is written as its pass condition, which a NaN fails
+        monkeypatch.setattr(fracops, kernel, nan)
+        assert main(["validate", "--scope", "operator-kernels"]) == 3
+        assert "[FAIL] operator-kernels: 42 checks" in capsys.readouterr().out
+
+    def test_nan_fails_a_check(self):
+        res = SuiteResult("probe")
+        res.check(float("nan") <= 1.0, "nan passed")
+        res.check(0.5 <= 1.0, lambda: pytest.fail("message built for a passing check"))
+        assert res.checks == 2 and res.failures == ["nan passed"] and not res.passed
 
 
 def test_console_entry_point(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -170,6 +171,13 @@ class TestIntegrate:
         with pytest.raises(ParamError, match="dt_max"):
             IntegratorControls(t_end=1.0, dt_max=dt_max)
         assert IntegratorControls(t_end=1.0, dt_max=None).dt_max is None
+
+    def test_controls_are_stored_as_floats(self):
+        controls = IntegratorControls(t_end=2, rtol=1, dt_max=3)
+        assert [type(v) for v in dataclasses.astuple(controls)] == [float] * 6
+        for bad in (True, "1e-8"):
+            with pytest.raises(ParamError, match="'rtol' must be a positive number"):
+                IntegratorControls(t_end=1.0, rtol=bad)
 
 
 class TestEnergyIdentity:

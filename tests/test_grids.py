@@ -42,10 +42,6 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid(-1.0, 4)
 
-    def test_origin_offset(self):
-        g = build_grid(1.0, 2, origins=3.0)
-        assert np.allclose(g.coords.ravel(), [3.25, 3.75])
-
 
 class TestSampleField:
     def test_constant_zero_amplitude(self, grid2):

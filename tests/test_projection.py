@@ -151,7 +151,7 @@ def test_ray_powers_match_scalar_calls(rays):
 @pytest.mark.parametrize("counts", [[40], [6, 5]])
 def test_random_field_equals_inline_sines(counts):
     # the cached sine table reproduces the per-call formula bit for bit
-    grid = build_grid([1.2, 1.0][:len(counts)], counts, [0.2, -0.1][:len(counts)])
+    grid = build_grid([1.2, 1.0][:len(counts)], counts)
     x, modes = grid.coords, 4
     want = np.zeros(grid.node_count)
     rng = np.random.default_rng(3)
