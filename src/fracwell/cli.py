@@ -11,12 +11,13 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import traceback
 
 import numpy as np
 
-from . import artifacts, dynamics, validate as validate_mod, variational
+from . import artifacts, dynamics, fracops, validate as validate_mod, variational
 from .config import ConfigError, ExperimentConfig
 from .svgplot import Series, plot_svg
 
@@ -39,9 +40,32 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _setup(cfg: ExperimentConfig):
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _setup(cfg: ExperimentConfig, well: bool = True):
+    """Build the run's objects, failing by name before any work: parameters
+    outside the admissibility window (only where the command needs the well
+    depth), a grid of another dimension than params.N, and a grid whose
+    kernel would not fit in physical memory."""
     params = cfg.build_params()
+    if well and not params.well_regime:
+        raise ConfigError(f"admissibility window fails: {params.window_violation}; "
+                          "the well depth needs parameters inside it")
     grid = cfg.build_grid()
+    if grid.ndim != params.N:
+        raise ConfigError(f"params.N = {params.N} but the grid (counts {list(grid.counts)}) "
+                          f"is {grid.ndim}-D")
+    need, have = fracops.peak_bytes(grid.node_count), _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(f"grid counts {list(grid.counts)} ({grid.node_count} nodes) needs "
+                          f"about {need} bytes for the kernel's weight tables and buffers, "
+                          f"more than the {have} bytes of physical memory")
     Kp, Kq = cfg.build_kirchhoff()
     u0, v0 = cfg.build_initial_pair(grid)
     return params, grid, Kp, Kq, u0, v0
@@ -171,7 +195,7 @@ def _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0, eps_lo, eps_hi, co
 
 def cmd_fibering(args) -> int:
     cfg = _load_config(args)
-    params, grid, Kp, Kq, u0, v0 = _setup(cfg)
+    params, grid, Kp, Kq, u0, v0 = _setup(cfg, well=False)
     if u0.max_abs() == 0.0 and v0.max_abs() == 0.0:
         raise ValueError("fibering scan needs a nonzero pair")
     run_dir = cfg.run_dir()

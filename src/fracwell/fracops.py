@@ -24,8 +24,8 @@ operator and the Gagliardo sum; through ``pair_values``, which takes nodal
 values and weight tables resolved once by the caller, ``dynamics.rhs`` gets
 one pass per field per stage.  ``apply_operator``, ``gagliardo_sum`` and
 ``bracket`` run the same pass with one of its two outputs switched off.
-``gagliardo_rows`` runs it on stacks of fields, one difference table each,
-for the well-depth directions and every fibering ray.
+The well-depth directions and every fibering ray pass stacks of fields, one
+difference table each, through ``pair_values`` with the operator off.
 The operator and the Gagliardo sum are written here only.
 The bracket stays sum |d|^p W h^(2N)/p, with its own power of |d|, and is
 never taken from the duality shortcut inner(Lu, u)/p: the shortcut differs in
@@ -40,9 +40,10 @@ interpreter lock inside each ufunc, so the two overlap.  The worker is used
 from ``_THREADED_MIN_NODES`` nodes on and only when the process may run on
 two CPUs; below that the handoff costs more than it saves and the two passes
 run one after the other.  Each pass runs the same ufuncs in the same order
-either way, so the results are bit-identical.  ``dynamics.rhs`` and, through
-``gagliardo_rows``, the well-depth directions and every fibering ray go
-through it.
+either way, so the results are bit-identical.  A stack goes over as one job,
+whatever its length, and each thread walks its own stack in pieces.
+``pair_values`` is the one two-field entry: ``dynamics.rhs``, the well-depth
+directions and every fibering ray go through it.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def _pass_buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
     return buffers
 
 
+# A stacked pass's difference table takes at most this many bytes, under
+# glibc's default mmap threshold, so that the buffer is reused from the heap.
+_STACK_BYTES = 128 * 1024
+
+
 def _dense_pass(
     values: np.ndarray, W: np.ndarray, hN: float, p: float, operator: bool, seminorm: bool
 ) -> tuple[np.ndarray | None, float | np.ndarray | None]:
@@ -125,9 +131,17 @@ def _dense_pass(
 
     ``values`` of shape (k, M) is a stack of k fields: each output then has
     one row (one sum) per field, each equal bit for bit to the field's own
-    pass, since every sum runs over one contiguous row of the table.
+    pass, since every sum runs over one contiguous row of the table.  A stack
+    of any length is walked in pieces whose table takes at most
+    ``_STACK_BYTES``: 7 fields at M=48, where a piece spares most of a pass's
+    call overhead (5.0 against 6.8 ms for 203 pairs), and one from M=91 on.
     """
     m = values.shape[-1]
+    step = max(1, _STACK_BYTES // (8 * m * m))
+    if values.ndim == 2 and len(values) > step:
+        pieces = [_dense_pass(values[i:i + step], W, hN, p, operator, seminorm)
+                  for i in range(0, len(values), step)]
+        return tuple(None if rows[0] is None else np.concatenate(rows) for rows in zip(*pieces))
     buffers = _pass_buffers(values.shape[:-1] + (m, m), 2 if operator else 1)
     d = buffers[0]
     t = buffers[1] if operator else d   # d itself is only needed for |d|
@@ -170,6 +184,15 @@ def _usable_cpus() -> int:
 # numpy 2.4.6).  With a single usable CPU the two threads could only take turns.
 _THREADED_MIN_NODES = 128 if _usable_cpus() >= 2 else float("inf")
 
+
+def peak_bytes(node_count: int) -> int:
+    """Bytes the kernel holds at its peak on a grid of ``node_count`` nodes:
+    a weight table per exponent and two M x M pass buffers per thread, with
+    two threads from ``_THREADED_MIN_NODES`` nodes on."""
+    threads = 2 if node_count >= _THREADED_MIN_NODES else 1
+    return 8 * node_count ** 2 * (2 + 2 * threads)
+
+
 _worker = None                  # (jobs, results) queues of the pass worker thread
 _worker_lock = threading.Lock()
 
@@ -196,16 +219,18 @@ if hasattr(os, "register_at_fork"):
 def pair_values(
     uu: np.ndarray, W_p: np.ndarray, vv: np.ndarray, W_q: np.ndarray, hN: float,
     p: float, q: float, operator: bool
-) -> tuple[tuple[np.ndarray | None, float], tuple[np.ndarray | None, float]]:
+) -> tuple[tuple[np.ndarray | None, float | np.ndarray],
+           tuple[np.ndarray | None, float | np.ndarray]]:
     """The dense passes of u (exponent p, weight table W_p) and v (exponent
     q, table W_q) on nodal values, side by side; uu and vv may be stacks of
-    fields.
+    fields of any (equal) length.
 
     Returns ``(_dense_pass(uu, W_p, hN, p, operator, True),
     _dense_pass(vv, W_q, hN, q, operator, True))``, bit for bit: per field,
     the operator values (None unless ``operator``) and the Gagliardo sum.
-    From ``_THREADED_MIN_NODES`` nodes on, v's pass runs on the worker thread
-    while the caller runs u's; an exception raised there is raised here.
+    From ``_THREADED_MIN_NODES`` nodes on, v's pass, its whole stack, runs on
+    the worker thread while the caller runs u's; an exception raised there is
+    raised here.
     """
     global _worker
     args_u, args_v = (uu, W_p, hN, p, operator, True), (vv, W_q, hN, q, operator, True)
@@ -226,34 +251,6 @@ def pair_values(
     if exc is not None:
         raise exc
     return ru, rv
-
-
-# A stacked pass's difference table takes at most this many bytes, under
-# glibc's default mmap threshold, so that the buffer is reused from the heap.
-_STACK_BYTES = 128 * 1024
-
-
-def gagliardo_rows(
-    U: np.ndarray, W_p: np.ndarray, V: np.ndarray, W_q: np.ndarray, hN: float,
-    p: float, q: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gagliardo sums of every row of U (exponent p) and of V (exponent q),
-    each bit for bit the sum of ``pair_values`` on that row pair.
-
-    The rows go through ``pair_values`` in stacks of at most ``_STACK_BYTES``
-    per table: 7 rows at M=48, where a stack spares most of a pass's call
-    overhead (5.0 against 6.8 ms for 203 pairs), and one row from M=91 on,
-    so that from ``_THREADED_MIN_NODES`` on each pair is split over the two
-    threads, which beats a serial stack (66 against 112 ms at M=256; 2-vCPU
-    Xeon VM, numpy 2.4.6).
-    """
-    k, m = U.shape
-    step = max(1, _STACK_BYTES // (8 * m * m))
-    gag_u, gag_v = np.empty(k), np.empty(k)
-    for i in range(0, k, step):
-        (_, gag_u[i:i + step]), (_, gag_v[i:i + step]) = pair_values(
-            U[i:i + step], W_p, V[i:i + step], W_q, hN, p, q, False)
-    return gag_u, gag_v
 
 
 def gagliardo_sum(u: GridField, p: float, s: float) -> float:

@@ -47,6 +47,13 @@ class ModelParams:
     q_crit: float
 
     @property
+    def window_violation(self) -> str | None:
+        """The first violated window inequality by name, or None when
+        ``well_regime`` holds."""
+        return _window_violation(self.N, self.s, self.p, self.q, self.sigma, self.beta,
+                                 self.p_crit, self.q_crit)
+
+    @property
     def poly_decay_exponent(self) -> float:
         """Exponent of the predicted polynomial decay envelope, q(b+1)/(q(b+1)-2)."""
         qb = self.q * (self.beta + 1.0)

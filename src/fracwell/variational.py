@@ -26,11 +26,10 @@ estimate and is labeled as such wherever it is consumed.
 The directions are drawn and summed as arrays too: each child generator of
 the seed draws a pair's mode weights in one call, the fields of a chunk of
 pairs are stacked rows (16 KiB per array), and their brackets and coupling
-sums come out per row from one pass over the chunk (stacked difference
-tables below ``fracops._THREADED_MIN_NODES`` nodes, the threaded pair pass
-from there on).  Every sum runs over one row, so each direction's fields
-and sums are bit-identical to those of a lone direction; a lone pair's
-fibering ray is the same code on a stack of one.
+sums come out per row from one ``fracops.pair_values`` call and one masked
+log per chunk.  Every sum runs over one row, so each direction's fields and
+sums are bit-identical to those of a lone direction; a lone pair's fibering
+ray is the same code on a stack of one.
 
 The projection runs on arrays: all sampled rays are stacked into one batch
 ``FiberingRay`` and expanded and bisected together, each ray under the same
@@ -53,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracops import gagliardo_rows, gagliardo_sum, weight_table
+from .fracops import gagliardo_sum, pair_values, weight_table
 from .grids import (
     FieldPair, GridDomain, GridField, GridError, discrete_norm, random_smooth_field, sample_field,
     smooth_mode_rows,
@@ -388,11 +387,11 @@ def _direction_chunks(grid: GridDomain, count: int, seed: int, modes: int = 6):
 def _ray_rows(U: np.ndarray, V: np.ndarray, grid: GridDomain,
               params: ModelParams) -> dict[str, np.ndarray]:
     """The six ray sums of every row pair (U[i], V[i]), by field name, each
-    equal bit for bit to the sums of that pair alone: the brackets from
-    ``gagliardo_rows``, the couplings from ``_coupling_rows``."""
+    equal bit for bit to the sums of that pair alone: the brackets from one
+    ``pair_values`` call, the couplings from ``_coupling_rows``."""
     p, q, s, hN = params.p, params.q, params.s, grid.cell_measure
-    gag_u, gag_v = gagliardo_rows(U, weight_table(grid, p, s), V, weight_table(grid, q, s),
-                                  hN, p, q)
+    (_, gag_u), (_, gag_v) = pair_values(U, weight_table(grid, p, s), V,
+                                         weight_table(grid, q, s), hN, p, q, False)
     return dict(bracket_u=gag_u / p, bracket_v=gag_v / q,
                 **_coupling_rows(U, V, params.sigma, hN))
 

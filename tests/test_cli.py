@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracwell import GridField, fracops, variational
+from fracwell import GridField, cli, fracops, variational
 from fracwell.cli import main
 from fracwell.config import ConfigError, ExperimentConfig
+from fracwell.params import ParamError
 from fracwell.svgplot import Series, plot_svg
 from fracwell.validate import SuiteResult
 
@@ -105,6 +106,59 @@ class TestConfig:
         assert "config error" in err and f"{block} '{key}'" in err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def decay_on_8x8(tmp_path, **params):
+        raw = json.loads((CONFIGS / "decay.json").read_text())
+        raw["grid"] = {"extents": [1.0, 1.0], "counts": [8, 8]}
+        raw["params"].update(params)
+        raw["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "2d.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    @pytest.mark.parametrize("command", ["simulate", "classify", "well-depth", "fibering"])
+    def test_dimension_mismatch_fails_by_name(self, tmp_path, capsys, command):
+        # the kernel would weigh with the grid's N = 2, the window with N = 1
+        path = self.decay_on_8x8(tmp_path)
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "params.N = 1" in err and "2-D" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "classify", "well-depth"])
+    def test_outside_the_well_regime_fails_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        path = self.decay_on_8x8(tmp_path, N=2, mode="operations")
+        monkeypatch.setattr(ExperimentConfig, "build_grid", None)     # never reached
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "window fails: 2*sigma <= min(p(1+2/N), q(1+2/N), p_crit, q_crit)" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_fibering_runs_outside_the_well_regime(self, tmp_path, capsys):
+        path = self.decay_on_8x8(tmp_path, N=2, mode="operations")
+        assert main(["fibering", "--config", str(path), "--points", "5"]) == 0
+        assert (tmp_path / "out" / "run-seed1" / "fibering.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["simulate", "fibering"])
+    def test_grid_too_large_fails_before_the_tables(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        path = make_config(tmp_path, nodes=36)
+        need = fracops.peak_bytes(36)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(fracops, "_weight_table", None)               # never reached
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "[36]" in err and f"{need} bytes" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_peak_bytes_counts_two_tables_and_the_pass_buffers(self, monkeypatch):
+        monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 128)
+        assert fracops.peak_bytes(127) == 8 * 127 ** 2 * (2 + 2)        # one thread
+        assert fracops.peak_bytes(128) == 8 * 128 ** 2 * (2 + 4)        # two threads
+        assert cli._physical_memory() > fracops.peak_bytes(1024)
+
     def test_zero_directions_keep_the_presets(self, tmp_path, capsys):
         assert main(["well-depth", "--config", str(make_config(tmp_path, directions=0))]) == 0
         assert json.loads(capsys.readouterr().out)["attempted"] == 3
@@ -139,13 +193,14 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_runtime_failure_exit_code(self, tmp_path, capsys):
-        # operations-mode params build fine but the well-depth sampler needs
-        # the admissible window: a runtime failure, not a config error
-        path = make_config(tmp_path, params={"N": 1, "s": 0.5, "p": 2.0, "q": 2.0,
-                                             "sigma": 4.0, "beta": 0.0,
-                                             "mode": "operations"})
-        assert main(["classify", "--config", str(path)]) == 2
+    def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an exception raised after the config checks is a runtime failure,
+        # not a config error, even when it is a parameter error
+        def failing_sampler(*args, **kwargs):
+            raise ParamError("well depth needs admissible (well-regime) parameters")
+
+        monkeypatch.setattr(variational, "estimate_well_depth", failing_sampler)
+        assert main(["classify", "--config", str(make_config(tmp_path))]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
 

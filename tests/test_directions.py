@@ -128,8 +128,9 @@ def test_coupling_rows_sum_partial_masks_compacted():
         assert got[name].tobytes() == np.array([f[name] for f in filled]).tobytes()
 
 
-@pytest.mark.parametrize("threshold", [0, math.inf], ids=["pair-by-pair", "stacked"])
-def test_gagliardo_rows_either_way(monkeypatch, threshold):
+@pytest.mark.parametrize("threshold", [0, math.inf], ids=["worker", "serial"])
+def test_pair_values_stacks_either_way(monkeypatch, threshold):
+    # 23 rows at M=40 walk in pieces of 10, 10 and 3 on each thread
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
     grid = build_grid(1.0, 40)
     U, V = np.random.default_rng(10).normal(size=(2, 23, 40))

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import sys
@@ -291,6 +292,44 @@ def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold
     threads = dict(ran_on)
     assert threads[True] == threading.get_ident()                 # u on the caller
     assert (threads[False] != threading.get_ident()) == threaded  # v on the worker
+
+
+@pytest.mark.parametrize("operator", [True, False])
+@pytest.mark.parametrize("threshold", [0, math.inf], ids=["worker", "serial"])
+@pytest.mark.parametrize("m", [48, 100])
+def test_pair_pass_walks_a_stack_in_pieces(monkeypatch, m, threshold, operator):
+    # two full pieces and a one-row tail: 15 rows at M=48, 3 at M=100
+    step = max(1, fracops._STACK_BYTES // (8 * m * m))
+    grid = build_grid(1.0, m)
+    U, V = np.random.default_rng(m).normal(size=(2, 2 * step + 1, m))
+    W_p, W_q, h = weight_table(grid, 3.0, 0.4), weight_table(grid, 3.5, 0.4), grid.cell_measure
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
+    got = fracops.pair_values(U, W_p, V, W_q, h, 3.0, 3.5, operator)
+    for (values, gag), rows, W, e in zip(got, (U, V), (W_p, W_q), (3.0, 3.5)):
+        assert gag.shape == (len(rows),) and (values is None) != operator
+        for i, row in enumerate(rows):
+            lone = fracops._dense_pass(row, W, h, e, operator, True)
+            assert _bits((None if values is None else values[i], gag[i])) == _bits(lone), i
+
+
+def test_threaded_stack_is_one_job_on_the_worker(monkeypatch):
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+    grid = build_grid(1.0, 48)
+    U, V = np.random.default_rng(4).normal(size=(2, 23, 48))     # 4 pieces per thread
+    W = weight_table(grid, 3.0, 0.5)
+    args = (U, W, V, W, grid.cell_measure, 3.0, 3.0, False)
+    want = tuple(map(_bits, fracops.pair_values(*args)))     # starts the worker
+    jobs, results = fracops._worker
+    sent = []
+
+    class CountingJobs:
+        def put(self, job):
+            sent.append(job)
+            jobs.put(job)
+
+    monkeypatch.setattr(fracops, "_worker", (CountingJobs(), results))
+    assert tuple(map(_bits, fracops.pair_values(*args))) == want
+    assert len(sent) == 1 and sent[0][0] is V
 
 
 @pytest.mark.parametrize("p, q", [(1.5, 3.0), (3.0, 2.0)])

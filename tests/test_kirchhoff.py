@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracwell import (
     KirchhoffFn, check_hypotheses, k_antideriv, k_eval, scaling_suite,
@@ -90,6 +91,45 @@ class TestAntiderivative:
                 d = 1e-6 * (1.0 + z)
                 fd = (k_antideriv(K, z + d) - k_antideriv(K, z - d)) / (2 * d)
                 assert fd == pytest.approx(k_eval(K, z), rel=1e-6)
+
+
+@st.composite
+def tables(draw):
+    """A tabulated coefficient: 2 to 8 increasing nodes from z >= 0, values >= 0."""
+    n = draw(st.integers(2, 8))
+    start = draw(st.just(0.0) | st.floats(0.0, 5.0))
+    gaps = draw(st.lists(st.floats(1e-2, 10.0), min_size=n - 1, max_size=n - 1))
+    k = draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=n, max_size=n))
+    return KirchhoffFn.from_table(start + np.concatenate([[0.0], np.cumsum(gaps)]), k, beta=0.0)
+
+
+def interpolant_integral(K, z):
+    """Integral over [0, z] of the table's piecewise-linear interpolant,
+    constant outside the table: the trapezoid rule on the breakpoints."""
+    tz = np.asarray(K.table_z)
+    nodes = np.concatenate([[0.0], tz[tz < z], [z]])
+    vals = np.interp(nodes, tz, np.asarray(K.table_k))
+    return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(nodes)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(K=tables(), picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_table_antiderivative_property(K, picks):
+    tz, tk = np.asarray(K.table_z), np.asarray(K.table_k)
+    z = np.sort(np.concatenate([[0.0], tz, np.asarray(picks) * (1.5 * tz[-1] + 1.0)]))
+    khat = k_antideriv(K, z)
+    # the exact integral of the interpolant, constant-extrapolated at both ends
+    want = np.array([interpolant_integral(K, x) for x in z])
+    assert np.allclose(khat, want, rtol=1e-12, atol=1e-12)
+    # non-decreasing, as K >= 0
+    assert np.all(np.diff(khat) >= 0.0)
+    # forward difference quotients approach K: within the interpolant's
+    # largest slope times the step, plus the rounding of two values
+    slope = float(np.max(np.abs(np.diff(tk) / np.diff(tz))))
+    for x, hx in zip(z, khat):
+        step = 1e-6 * (1.0 + x)
+        quotient = (k_antideriv(K, x + step) - hx) / step
+        assert abs(quotient - k_eval(K, x)) <= slope * step + 1e-14 * (1.0 + hx) / step
 
 
 class TestHypotheses:

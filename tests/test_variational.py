@@ -11,7 +11,7 @@ from fracwell import (
     log_coupling, log_coupling_bound_gap, sample_field,
     validate_params, well_lower_bound,
 )
-from fracwell import fracops, variational
+from fracwell import variational
 from fracwell.fracops import bracket
 from fracwell.grids import GridError
 from fracwell.params import ParamError
@@ -136,7 +136,7 @@ class TestFibering:
             coupling_high=float(np.sum((au * av) ** (sig + 1.0)) * hN),
             log_coupling_high=float(np.sum((au[mask] * av[mask]) ** (sig + 1.0) * lg) * hN))
         calls = []
-        for module, name in ((variational, "_masked_log_product"), (fracops, "pair_values")):
+        for module, name in ((variational, "_masked_log_product"), (variational, "pair_values")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, _real=real, _name=name, **k:
