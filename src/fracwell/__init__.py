@@ -12,8 +12,7 @@ data, and the decay of global solutions.
 
 from .params import ModelParams, ParamError, critical_exponent, validate_params
 from .grids import (
-    FieldPair, GridDomain, GridError, GridField, build_grid, discrete_norm,
-    inner, sample_field,
+    GridDomain, GridError, GridField, build_grid, discrete_norm, inner, sample_field,
 )
 from .fracops import (
     apply_operator, bilinear_form, bracket, gagliardo_sum,
@@ -24,9 +23,8 @@ from .kirchhoff import (
 )
 from .variational import (
     BracketingError, Classification, EpsilonStar, FiberingRay, WellEstimate,
-    blowup_time_bound, classify_initial_data, compute_d_star, coupling_mass,
-    estimate_embedding_constant, estimate_well_depth, log_coupling,
-    log_coupling_bound_gap, well_lower_bound,
+    blowup_time_bound, classify_initial_data, estimate_embedding_constant,
+    estimate_well_depth, log_coupling_bound_gap, well_lower_bound,
 )
 from .dynamics import (
     ConcavityReport, DecayFit, Flow, IntegratorControls, RunOutcome, SimTrace,

@@ -82,11 +82,8 @@ def _well_estimate(cfg, params, grid, Kp, Kq):
 
 def _classification(cfg, params, grid, Kp, Kq, u0, v0):
     est = _well_estimate(cfg, params, grid, Kp, Kq)
-    d_star = variational.compute_d_star(est.d, u0, v0, params)
-    cls = variational.classify_initial_data(
-        u0, v0, params, Kp, Kq, d_star, variant=cfg.psi_variant, d=est.d
-    )
-    return est, cls
+    return est, variational.classify_initial_data(u0, v0, params, Kp, Kq, est.d,
+                                                  variant=cfg.psi_variant)
 
 
 def cmd_classify(args) -> int:

@@ -6,7 +6,9 @@ Schema (all keys required unless noted):
     {
       "params":      {"N", "s", "p", "q", "sigma", "beta", "mode"?},
       "grid":        {"extents": [...], "counts": [...]},
-      "kirchhoff_p": {"kind", "a"?, "b"?, "c"?, "beta"?},
+      "kirchhoff_p": {"kind": "affine_power", "a"?, "b"?, "c"?, "beta"?}
+                   | {"kind": "log1p", "beta"?}
+                   | {"kind": "table", "z", "k", "beta"?},
       "kirchhoff_q": {...},
       "initial_u":   {"preset", "amplitude"},
       "initial_v":   {"preset", "amplitude"},
@@ -19,13 +21,16 @@ Schema (all keys required unless noted):
     }
 
 Kirchhoff "beta" defaults to the params beta.  No expression language: the
-initial data come from the named presets only.  Unknown keys at the top level
-and in the "integrator" and "well_depth" blocks are rejected by name, so a
-typo such as "rtoll" fails instead of running with the default.  So is a bad
-value in those two blocks: every integrator control must be a positive
-number ("dt_max" may also be null), "directions" and "refine_iters" integers
->= 0 and "modes" an integer >= 1.  The integrator block's keys, defaults and
-value rule are those of ``dynamics.IntegratorControls``.
+initial data come from the named presets only.  A block that is not a JSON
+object is rejected by name.  Unknown keys at the top level
+and in the "grid", "kirchhoff_p"/"kirchhoff_q" (per kind), "initial_u"/
+"initial_v", "integrator" and "well_depth" blocks are rejected by name, so a
+typo such as "rtoll" or "B" fails instead of running with the default.  So is
+a bad value in the "integrator" and "well_depth" blocks: every integrator
+control must be a positive number ("dt_max" may also be null), "directions"
+and "refine_iters" integers >= 0 and "modes" an integer >= 1.  The
+integrator block's keys, defaults and value rule are those of
+``dynamics.IntegratorControls``.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ class ConfigError(ValueError):
 _DEFAULTS_INTEGRATOR = {f.name: None if f.default is MISSING else f.default
                         for f in fields(IntegratorControls)}
 _DEFAULTS_WELL = {"directions": 200, "modes": 6, "refine_iters": 0}
+_BLOCKS = ("params", "grid", "kirchhoff_p", "kirchhoff_q", "initial_u", "initial_v",
+           "integrator", "well_depth")
+_KIRCHHOFF_KEYS = {"affine_power": ("kind", "a", "b", "c", "beta"),
+                   "log1p": ("kind", "beta"),
+                   "table": ("kind", "z", "k", "beta")}
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -93,12 +103,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         required = ("params", "grid", "kirchhoff_p", "kirchhoff_q",
                     "initial_u", "initial_v", "integrator", "output_dir", "seed")
         missing = [k for k in required if k not in raw]
         if missing:
             raise ConfigError(f"config missing keys: {missing}")
+        for name in _BLOCKS:
+            if not isinstance(raw.get(name, {}), dict):
+                raise ConfigError(f"{name} must be a JSON object, got {raw[name]!r}")
         _reject_unknown(raw, (f.name for f in fields(cls)), "config")
+        _reject_unknown(raw["grid"], ("extents", "counts"), "grid")
+        for name in ("kirchhoff_p", "kirchhoff_q"):
+            kind = raw[name].get("kind")
+            if kind not in _KIRCHHOFF_KEYS:
+                raise ConfigError(f"unknown Kirchhoff kind {kind!r} in {name}")
+            _reject_unknown(raw[name], _KIRCHHOFF_KEYS[kind], f"{name} ({kind})")
+        for name in ("initial_u", "initial_v"):
+            _reject_unknown(raw[name], ("preset", "amplitude"), name)
         _reject_unknown(raw["integrator"], _DEFAULTS_INTEGRATOR, "integrator")
         _reject_unknown(raw.get("well_depth", {}), _DEFAULTS_WELL, "well_depth")
         psi_variant = raw.get("psi_variant", "consistent")
@@ -178,9 +201,7 @@ class ExperimentConfig:
     def build_initial_pair(self, grid: GridDomain) -> tuple[GridField, GridField]:
         def one(block: dict) -> GridField:
             try:
-                extra = {k: v for k, v in block.items() if k not in ("preset", "amplitude")}
-                return sample_field(grid, block["preset"], float(block.get("amplitude", 1.0)),
-                                    **extra)
+                return sample_field(grid, block["preset"], float(block.get("amplitude", 1.0)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid initial-data block: {exc}") from exc
         return one(self.initial_u), one(self.initial_v)

@@ -59,12 +59,21 @@ from .grids import GridDomain, GridField, GridError
 
 @lru_cache(maxsize=64)
 def _weight_table(domain: GridDomain, exponent: float) -> np.ndarray:
-    """Pairwise weights |x_i - x_j|^-exponent with zero diagonal (read-only)."""
+    """Pairwise weights |x_i - x_j|^-exponent with zero diagonal (read-only).
+
+    Built in place: the squared distance sums the per-axis squared
+    differences in axis order, as a sum over the last axis of the M x M x N
+    difference array would, so the build holds one table in 1-D and two in
+    2-D at its peak."""
     x = domain.coords
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    np.fill_diagonal(dist, 1.0)
-    table = dist ** (-exponent)
+    table = None
+    for a in range(domain.ndim):
+        d = np.subtract.outer(x[:, a], x[:, a])
+        np.multiply(d, d, out=d)
+        table = d if table is None else np.add(table, d, out=table)
+    np.sqrt(table, out=table)
+    np.fill_diagonal(table, 1.0)
+    table **= -exponent
     np.fill_diagonal(table, 0.0)
     table.setflags(write=False)
     return table
@@ -199,9 +208,10 @@ _worker_lock = threading.Lock()
 
 def _serve(jobs, results) -> None:
     while True:
-        args = jobs.get()
+        *args, errstate = jobs.get()     # a pass's arguments, then np.geterr()
         try:
-            results.put((_dense_pass(*args), None))
+            with np.errstate(**errstate):
+                results.put((_dense_pass(*args), None))
         except Exception as exc:    # raised again on the caller
             results.put((None, exc))
 
@@ -229,8 +239,9 @@ def pair_values(
     _dense_pass(vv, W_q, hN, q, operator, True))``, bit for bit: per field,
     the operator values (None unless ``operator``) and the Gagliardo sum.
     From ``_THREADED_MIN_NODES`` nodes on, v's pass, its whole stack, runs on
-    the worker thread while the caller runs u's; an exception raised there is
-    raised here.
+    the worker thread while the caller runs u's, under the caller's
+    ``np.errstate``, which a thread does not inherit; an exception raised
+    there is raised here.
     """
     global _worker
     args_u, args_v = (uu, W_p, hN, p, operator, True), (vv, W_q, hN, q, operator, True)
@@ -243,7 +254,7 @@ def pair_values(
             threading.Thread(target=_serve, args=_worker, name="fracops-pair-pass",
                              daemon=True).start()
         jobs, results = _worker
-        jobs.put(args_v)
+        jobs.put(args_v + (np.geterr(),))
         try:
             ru = _dense_pass(*args_u)
         finally:

@@ -100,25 +100,6 @@ class GridField:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True)
-class FieldPair:
-    """A pair (u, v) of fields on one shared domain."""
-
-    u: GridField
-    v: GridField
-
-    def __post_init__(self):
-        if self.u.domain != self.v.domain:
-            raise GridError("field pair must share one domain")
-
-    @property
-    def domain(self) -> GridDomain:
-        return self.u.domain
-
-    def scaled(self, factor: float) -> "FieldPair":
-        return FieldPair(self.u.scaled(factor), self.v.scaled(factor))
-
-
 def build_grid(
     extents: Sequence[float] | float,
     counts: Sequence[int] | int,
@@ -134,19 +115,13 @@ def build_grid(
 PRESETS = ("constant", "sine", "bump", "indicator")
 
 
-def sample_field(
-    grid: GridDomain,
-    preset: str,
-    amplitude: float = 1.0,
-    subbox_lo: float = 0.25,
-    subbox_hi: float = 0.75,
-) -> GridField:
+def sample_field(grid: GridDomain, preset: str, amplitude: float = 1.0) -> GridField:
     """Evaluate ``amplitude * profile`` at the grid nodes.
 
     Presets: "constant"; "sine" (first homogeneous-boundary mode per axis);
     "bump" (smooth, compactly supported inside the box); "indicator"
-    (characteristic function of the central sub-box scaled by the
-    ``subbox_lo``/``subbox_hi`` fractions per axis).
+    (characteristic function of the central sub-box [1/4, 3/4) of the box
+    per axis, in fractions of the extent).
     """
     x = grid.coords
     if preset == "constant":
@@ -166,7 +141,7 @@ def sample_field(
         profile = np.ones(grid.node_count)
         for ax, ext in enumerate(grid.extents):
             xi = x[:, ax] / ext
-            profile = profile * ((xi >= subbox_lo) & (xi < subbox_hi))
+            profile = profile * ((xi >= 0.25) & (xi < 0.75))
     else:
         raise GridError(f"unknown preset {preset!r}; choose one of {PRESETS}")
     return GridField(grid, amplitude * profile)

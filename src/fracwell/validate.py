@@ -82,10 +82,10 @@ def _random_pair(grid, rng, modes=5):
 # ---------------------------------------------------------------------------
 
 @_suite("norm-interpolation")
-def suite_interpolation(res, seed=101, count=1000):
+def suite_interpolation(res):
     grid = build_grid(1.0, 24)
-    rng = np.random.default_rng(seed)
-    for k in range(count):
+    rng = np.random.default_rng(101)
+    for k in range(1000):
         u = GridField(grid, rng.normal(size=grid.node_count))
         p0 = rng.uniform(1.1, 4.0)
         p1 = p0 + rng.uniform(0.5, 4.0)
@@ -98,8 +98,9 @@ def suite_interpolation(res, seed=101, count=1000):
 
 
 @_suite("scalar-log-bounds")
-def suite_scalar_log_bounds(res, seed=102, count=100_000):
-    rng = np.random.default_rng(seed)
+def suite_scalar_log_bounds(res):
+    count = 100_000
+    rng = np.random.default_rng(102)
     eta = np.exp(rng.uniform(np.log(0.05), np.log(20.0), count))
     t_hi = np.exp(rng.uniform(0.0, np.log(1e6), count))
     t_lo = np.exp(rng.uniform(np.log(1e-9), 0.0, count))
@@ -135,9 +136,9 @@ def _kirchhoff_cases(rng):
 
 
 @_suite("kirchhoff-scaling")
-def suite_kirchhoff_scaling(res, seed=103, pairs=1000):
-    rng = np.random.default_rng(seed)
-    for k in range(pairs):
+def suite_kirchhoff_scaling(res):
+    rng = np.random.default_rng(103)
+    for k in range(1000):
         mu = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
         z = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e6))))
         for K in _kirchhoff_cases(rng):
@@ -151,7 +152,7 @@ def suite_kirchhoff_scaling(res, seed=103, pairs=1000):
 
 
 @_suite("kirchhoff-hypotheses")
-def suite_kirchhoff_hypotheses(res, seed=104):
+def suite_kirchhoff_hypotheses(res):
     ok_cases = [
         KirchhoffFn.affine_power(1.0, 1.0, 2.0, beta=2.0),
         KirchhoffFn.log1p(beta=1.0),
@@ -164,7 +165,7 @@ def suite_kirchhoff_hypotheses(res, seed=104):
     rep = check_hypotheses(KirchhoffFn.affine_power(1.0, 1.0, 2.0, beta=2.0), beta=1.0)
     res.check(not rep.homogeneity_ok, "homogeneity check failed to flag beta=1 against growth c=2")
     # antiderivative consistency: central difference of Khat matches K
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(104)
     for K in ok_cases:
         for _ in range(50):
             z = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
@@ -175,8 +176,8 @@ def suite_kirchhoff_hypotheses(res, seed=104):
 
 
 @_suite("operator-kernels")
-def suite_operator(res, seed=105):
-    rng = np.random.default_rng(seed)
+def suite_operator(res):
+    rng = np.random.default_rng(105)
     grids = [build_grid(1.0, 16), build_grid([1.0, 1.0], [5, 5])]
     for grid in grids:
         for p in (2.0, 3.0, 3.5):
@@ -211,12 +212,12 @@ def suite_operator(res, seed=105):
 
 
 @_suite("fibering-map")
-def suite_fibering(res, seed=106, pairs=8, psi_variant="consistent"):
+def suite_fibering(res, psi_variant="consistent"):
     params = _flagship_params()
     Kp = Kq = _unit_kirchhoff()
     grid = build_grid(1.0, 32)
-    rng = np.random.default_rng(seed)
-    for k in range(pairs):
+    rng = np.random.default_rng(106)
+    for k in range(8):
         u, v = _random_pair(grid, rng)
         ray = FiberingRay.from_pair(u, v, params, Kp, Kq)
         try:
@@ -252,15 +253,15 @@ def suite_fibering(res, seed=106, pairs=8, psi_variant="consistent"):
 
 
 @functools.lru_cache(maxsize=1)
-def _sampled_well(grid, seed):
+def _sampled_well(grid):
     """The 40-direction well estimate that two suites read, computed once."""
     return variational.estimate_well_depth(grid, _flagship_params(), _unit_kirchhoff(),
-                                           _unit_kirchhoff(), directions=40, seed=seed)
+                                           _unit_kirchhoff(), directions=40, seed=107)
 
 
 @_suite("well-depth-positive")
-def suite_well_depth(res, seed=107):
-    est = _sampled_well(build_grid(1.0, 32), seed)
+def suite_well_depth(res):
+    est = _sampled_well(build_grid(1.0, 32))
     res.checks += est.sample_count
     if not est.d > 0:
         res.failures.append(f"well depth estimate not positive: {est.d}")
@@ -270,7 +271,7 @@ def suite_well_depth(res, seed=107):
 
 
 @_suite("constant-pair-nehari")
-def suite_constant_pair(res, seed=107):
+def suite_constant_pair(res):
     # a constant has zero seminorm: u = v = 1 is a Nehari point with phi = |U|/sigma^2
     params = _flagship_params()
     K = _unit_kirchhoff()
@@ -280,7 +281,7 @@ def suite_constant_pair(res, seed=107):
     star = ray.epsilon_star()
     phi = ray.phi(1.0)
     psi = ray.psi_consistent(1.0)
-    d = _sampled_well(grid, seed).d
+    d = _sampled_well(grid).d
     res.check(psi == 0.0, f"psi_consistent = {psi!r} != 0")
     res.check(star.value == 1.0 and star.iterations == 0,
               f"eps* = {star.value!r} after {star.iterations} iterations, not 1 after 0")
@@ -290,12 +291,13 @@ def suite_constant_pair(res, seed=107):
 
 
 @_suite("well-lower-bound")
-def suite_well_bound(res, seed=108, pairs=50):
+def suite_well_bound(res):
     params = _flagship_params()
     Kp = Kq = _unit_kirchhoff()
     grid = build_grid(1.0, 24)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(108)
     exhibits = 0
+    pairs = 50
     for k in range(pairs):
         u, v = _random_pair(grid, rng)
         wb = well_lower_bound(u, v, params, Kp, Kq)
@@ -305,13 +307,13 @@ def suite_well_bound(res, seed=108, pairs=50):
 
 
 @_suite("log-coupling-bound")
-def suite_log_bound(res, seed=109, pairs=20):
+def suite_log_bound(res):
     params = validate_params(N=2, s=0.5, p=3.0, q=3.5, sigma=4.0, beta=0.0,
                              mode="operations")
     grid = build_grid([1.0, 1.0], [8, 8])
-    S = variational.embedding_bound_constant(grid, params, seed=seed)
-    rng = np.random.default_rng(seed)
-    for k in range(pairs):
+    S = variational.embedding_bound_constant(grid, params, seed=109)
+    rng = np.random.default_rng(109)
+    for k in range(20):
         u, v = _random_pair(grid, rng, modes=3)
         gap = variational.log_coupling_bound_gap(u, v, params, S)
         res.check(gap.slack >= -1e-10 * (abs(gap.rhs) + 1.0),
@@ -320,7 +322,7 @@ def suite_log_bound(res, seed=109, pairs=20):
 
 
 @_suite("tail-decay-criterion")
-def suite_tail_decay(res, seed=110):
+def suite_tail_decay(res):
     # dense enough that the trapezoid excess (C dt)^2/12 sits below the slack
     ts = np.linspace(0.0, 30.0, 2_000_000)
     C = 1.0
@@ -343,8 +345,8 @@ def suite_tail_decay(res, seed=110):
 
 
 @_suite("concavity-criterion")
-def suite_concavity(res, seed=111):
-    rng = np.random.default_rng(seed)
+def suite_concavity(res):
+    rng = np.random.default_rng(111)
     for _ in range(25):
         gamma = rng.uniform(0.3, 4.0)
         T0 = rng.uniform(0.5, 5.0)
@@ -362,7 +364,7 @@ def suite_concavity(res, seed=111):
 
 
 @_suite("energy-dissipation")
-def suite_dissipation(res, seed=112):
+def suite_dissipation(res):
     params = _flagship_params()
     Kp = Kq = _unit_kirchhoff()
     grid = build_grid(1.0, 24)
@@ -389,7 +391,7 @@ def suite_dissipation(res, seed=112):
 
 
 @_suite("norm-growth-under-negative-psi")
-def suite_norm_growth(res, seed=113):
+def suite_norm_growth(res):
     params = _flagship_params()
     Kp = Kq = _unit_kirchhoff()
     grid = build_grid(1.0, 24)

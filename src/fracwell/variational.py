@@ -5,9 +5,10 @@ bound.
 Two Nehari variants coexist.  The "consistent" variant is the exact derivative
 of the energy along the fibering ray,
 
-    psi_c(u, v) = K_p(A) A + K_q(B) B - 2 * log_coupling(u, v),
+    psi_c(u, v) = K_p(A) A + K_q(B) B - 2 * L(u, v),
 
-with A, B the seminorm brackets; it is the variant every identity in this
+with A, B the seminorm brackets and L the integral of
+|u|^sigma |v|^sigma log|uv|; it is the variant every identity in this
 package (fibering derivative, energy chain of the flow, norm growth under
 negative psi) satisfies exactly at the discrete level.  The "printed" variant
 uses the raw Gagliardo sums and sigma+1 coupling exponents,
@@ -29,7 +30,9 @@ pairs are stacked rows (16 KiB per array), and their brackets and coupling
 sums come out per row from one ``fracops.pair_values`` call and one masked
 log per chunk.  Every sum runs over one row, so each direction's fields and
 sums are bit-identical to those of a lone direction; a lone pair's fibering
-ray is the same code on a stack of one.
+ray is the same code on a stack of one.  ``FiberingRay.from_pair`` is the one
+route from a pair to its six sums: the classification reads the coupling
+mass behind its threshold d* from the ray it builds for phi0 and psi0.
 
 The projection runs on arrays: all sampled rays are stacked into one batch
 ``FiberingRay`` and expanded and bisected together, each ray under the same
@@ -54,7 +57,7 @@ import numpy as np
 
 from .fracops import gagliardo_sum, pair_values, weight_table
 from .grids import (
-    FieldPair, GridDomain, GridField, GridError, discrete_norm, random_smooth_field, sample_field,
+    GridDomain, GridField, GridError, discrete_norm, random_smooth_field, sample_field,
     smooth_mode_rows,
 )
 from .kirchhoff import KirchhoffFn, k_antideriv, k_eval
@@ -99,35 +102,6 @@ def _coupling_rows(U: np.ndarray, V: np.ndarray, sigma: float,
         m = mask[i]
         sums[1][i], sums[3][i] = (np.add.reduce(x[i][m] * lg[i][m]) for x in (c, hi))
     return dict(zip(_RAY_SUMS[2:], [x * hN for x in sums]))
-
-
-def _couplings(u: GridField, v: GridField, sigma: float) -> dict[str, float]:
-    """The four coupling integrals of (u, v), by field name (see ``_coupling_rows``)."""
-    if u.domain != v.domain:
-        raise GridError("coupling integrals need a shared domain")
-    rows = _coupling_rows(u.values[None], v.values[None], sigma, u.domain.cell_measure)
-    return {name: float(total[0]) for name, total in rows.items()}
-
-
-def coupling_mass(u: GridField, v: GridField, sigma: float) -> float:
-    """integral over the box of |u|^sigma |v|^sigma."""
-    return _couplings(u, v, sigma)["coupling_mass"]
-
-
-def log_coupling(u: GridField, v: GridField, sigma: float) -> float:
-    """integral of |u|^sigma |v|^sigma log|uv|, with 0 where u v = 0."""
-    if sigma <= 1.0:
-        raise ParamError(f"coupling exponent must exceed 1, got {sigma}")
-    return _couplings(u, v, sigma)["log_coupling"]
-
-
-def _ray_sums(u: GridField, v: GridField, params: ModelParams) -> dict[str, float]:
-    """The six sums a ``FiberingRay`` holds, by field name: ``_ray_rows`` on
-    a stack of one pair."""
-    if u.domain != v.domain:
-        raise GridError("ray sums need a shared domain")
-    rows = _ray_rows(u.values[None], v.values[None], u.domain, params)
-    return {name: float(total[0]) for name, total in rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +155,12 @@ class FiberingRay:
 
     @classmethod
     def from_pair(cls, u, v, params, K_p, K_q) -> "FiberingRay":
-        return cls(params=params, K_p=K_p, K_q=K_q, **_ray_sums(u, v, params))
+        """The ray of the pair (u, v): its six sums from ``_ray_rows`` on a
+        stack of one pair."""
+        if u.domain != v.domain:
+            raise GridError("ray sums need a shared domain")
+        rows = _ray_rows(u.values[None], v.values[None], u.domain, params)
+        return cls(params, K_p, K_q, **{name: float(total[0]) for name, total in rows.items()})
 
     @classmethod
     def stack(cls, rays: Sequence["FiberingRay"]) -> "FiberingRay":
@@ -249,23 +228,21 @@ class FiberingRay:
         return dict(eps=eps, phi=self.phi(eps), psi_consistent=self.psi_consistent(eps),
                     psi_printed=self.psi_printed(eps))
 
-    def epsilon_star(self, variant: str = "consistent", eps_min: float = 1e-8,
-                     eps_max: float = 1e8, rel_tol: float = 1e-10) -> EpsilonStar:
+    def epsilon_star(self, variant: str = "consistent") -> EpsilonStar:
         """Locate the critical scale where psi(eps u, eps v) crosses zero.
 
         Bisection in log-eps on the sign change of the chosen Nehari variant,
         after geometric expansion of the bracket from eps = 1: the batch
         projection ``_project_rays`` on a batch of one, with psi at eps*.
         Raises ``BracketingError`` when no sign change exists inside
-        [eps_min, eps_max] (possible e.g. when u and v have disjoint
-        supports, so the coupling never turns the derivative negative), and
-        when all six sums vanish, as for the zero pair: psi is then zero
+        [_EPS_MIN, _EPS_MAX] = [1e-8, 1e8] (possible e.g. when u and v have
+        disjoint supports, so the coupling never turns the derivative
+        negative), and when all six sums vanish, as for the zero pair: psi is then zero
         for every eps, so no root is isolated.
         """
         if not any(getattr(self, name) for name in _RAY_SUMS):
             raise BracketingError("fibering root not bracketed: psi vanishes on the whole ray")
-        star, iters, side = _project_rays(FiberingRay.stack([self]), variant,
-                                          eps_min, eps_max, rel_tol)
+        star, iters, side = _project_rays(FiberingRay.stack([self]), variant)
         if side[0]:
             raise BracketingError(
                 f"fibering root not bracketed {'above' if side[0] > 0 else 'below'}")
@@ -274,17 +251,20 @@ class FiberingRay:
                            int(iters[0]))
 
 
-def _project_rays(ray: FiberingRay, variant: str, eps_min: float = 1e-8,
-                  eps_max: float = 1e8, rel_tol: float = 1e-10):
+# the eps range and the bisection tolerance of every projection
+_EPS_MIN, _EPS_MAX, _REL_TOL = 1e-8, 1e8, 1e-10
+
+
+def _project_rays(ray: FiberingRay, variant: str):
     """Critical scales of a batch of rays: arrays (eps*, iterations, side).
 
     Every ray follows the rules of a lone bisection.  A ray with psi(1) = 0
     has eps* = 1 after 0 iterations.  Otherwise the bracket [lo, hi] starts
     at [1, 2] when psi(1) > 0 and doubles while psi(hi) > 0, or starts at
-    [1/2, 1] and halves while psi(lo) <= 0; once hi > eps_max (lo < eps_min)
+    [1/2, 1] and halves while psi(lo) <= 0; once hi > _EPS_MAX (lo < _EPS_MIN)
     the ray stops with ``side`` +1 (-1), meaning no root was bracketed above
     (below), and its eps* is meaningless.  A bracketed ray is then bisected
-    in log eps, keeping psi(lo) > 0 >= psi(hi), until hi/lo - 1 <= rel_tol
+    in log eps, keeping psi(lo) > 0 >= psi(hi), until hi/lo - 1 <= _REL_TOL
     or its iteration count passes 400, and eps* = sqrt(lo hi).  Each
     expansion and bisection step counts one iteration.  The rays still
     moving are kept as an index array; each step evaluates psi once on all
@@ -302,19 +282,19 @@ def _project_rays(ray: FiberingRay, variant: str, eps_min: float = 1e-8,
         act = act[np.where(up[act], f > 0.0, f <= 0.0)]
         lo[act] *= np.where(up[act], 2.0, 0.5)
         iters[act] += 1
-        out = np.where(up[act], 2.0 * lo[act] > eps_max, lo[act] < eps_min)
+        out = np.where(up[act], 2.0 * lo[act] > _EPS_MAX, lo[act] < _EPS_MIN)
         side[act[out]] = np.where(up[act[out]], 1, -1)
         act = act[~out]
     hi = 2.0 * lo
     act = np.flatnonzero((f1 != 0.0) & (side == 0))
-    act = act[hi[act] / lo[act] - 1.0 > rel_tol]
+    act = act[hi[act] / lo[act] - 1.0 > _REL_TOL]
     while act.size:
         mid = np.sqrt(lo[act] * hi[act])
         pos = ray.take(act).psi(mid, variant) > 0.0
         lo[act] = np.where(pos, mid, lo[act])
         hi[act] = np.where(pos, hi[act], mid)
         iters[act] += 1
-        act = act[(iters[act] <= 400) & (hi[act] / lo[act] - 1.0 > rel_tol)]
+        act = act[(iters[act] <= 400) & (hi[act] / lo[act] - 1.0 > _REL_TOL)]
     star = np.where(f1 == 0.0, 1.0, np.sqrt(lo * hi))
     return star, iters, side
 
@@ -346,9 +326,7 @@ class WellEstimate:
     samples: tuple[WellSample, ...]
     attempted: int
     bracketing_failures: int
-    best_pair: FieldPair
     seed: int
-    refine_iterations: int = 0
 
     @property
     def sample_count(self) -> int:
@@ -427,35 +405,31 @@ def estimate_well_depth(
     if not found.size:
         raise BracketingError("no Nehari point found in any sampled direction")
     samples: list[WellSample] = []
-    best_pair, best, best_val = None, None, math.inf
+    best, best_val = None, math.inf
     for i, val in zip(found.tolist(), rays.take(found).phi(star[found])):
         samples.append(WellSample(labels[i], float(star[i]), val))
         if val < best_val:
             best, best_val = i, val
-    if best is not None:
-        u, v = [(u, v) for _, U, V in chunks for u, v in zip(U, V)][best]
-        best_pair = FieldPair(GridField(grid, u), GridField(grid, v))
 
-    refine_done = 0
-    if refine_iters > 0 and best_pair is not None:
+    if refine_iters > 0 and best is not None:
+        pair = [np.concatenate([chunk[k] for chunk in chunks])[best] for k in (1, 2)]
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD)))
         step = 0.05
         for it in range(refine_iters):
             which = rng.integers(2)
             idx = rng.integers(grid.node_count)
             delta = step * rng.choice((-1.0, 1.0))
-            cand = [best_pair.u.values.copy(), best_pair.v.values.copy()]
+            cand = [pair[0].copy(), pair[1].copy()]
             cand[which][idx] += delta
-            pair_c = FieldPair(GridField(grid, cand[0]), GridField(grid, cand[1]))
-            ray_c = FiberingRay.from_pair(pair_c.u, pair_c.v, params, K_p, K_q)
+            ray_c = FiberingRay.from_pair(GridField(grid, cand[0]), GridField(grid, cand[1]),
+                                          params, K_p, K_q)
             try:
                 star_c = ray_c.epsilon_star(variant)
             except BracketingError:
                 continue
             val_c = ray_c.phi(star_c.value)
             if val_c < best_val:
-                best_val, best_pair = val_c, pair_c
-                refine_done += 1
+                best_val, pair = val_c, cand
         samples.append(WellSample("refined", float("nan"), best_val))
 
     return WellEstimate(
@@ -463,31 +437,13 @@ def estimate_well_depth(
         samples=tuple(samples),
         attempted=len(labels),
         bracketing_failures=len(labels) - found.size,
-        best_pair=best_pair,
         seed=seed,
-        refine_iterations=refine_done,
     )
 
 
 # ---------------------------------------------------------------------------
 # thresholds, classification, blow-up horizon
 # ---------------------------------------------------------------------------
-
-def compute_d_star(d: float, u0: GridField, v0: GridField, params: ModelParams) -> float:
-    """Data-dependent classification threshold derived from the well depth.
-
-    d_star = (d - C) * (1/(q(b+1)) - 1/sigma) / (1/p - 1/sigma) with
-    C = coupling_mass(u0, v0)/sigma.  The threshold depends on the initial
-    pair through C and may be non-positive; classification then reports
-    Indeterminate.
-    """
-    if d <= 0:
-        raise ValueError(f"well depth estimate must be positive, got {d}")
-    q, p, sig, beta = params.q, params.p, params.sigma, params.beta
-    C = coupling_mass(u0, v0, sig) / sig
-    ratio = (1.0 / (q * (beta + 1.0)) - 1.0 / sig) / (1.0 / p - 1.0 / sig)
-    return (d - C) * ratio
-
 
 def blowup_time_bound(
     u0: GridField, v0: GridField, phi0: float, d_star: float, sigma: float
@@ -511,7 +467,7 @@ class Classification:
     phi0: float
     psi0: float
     psi_variant: str
-    d: float | None
+    d: float
     d_star: float
     predicted_decay: str         # exponential | polynomial | n/a
     decay_exponent: float | None
@@ -530,16 +486,29 @@ def classify_initial_data(
     params: ModelParams,
     K_p: KirchhoffFn,
     K_q: KirchhoffFn,
-    d_star: float,
+    d: float,
     variant: str = "consistent",
-    d: float | None = None,
 ) -> Classification:
-    """Classify initial data against the (estimated) threshold d_star.
+    """Classify initial data against the threshold d_star derived from the
+    (estimated) well depth d.
+
+    d_star = (d - C) * (1/(q(b+1)) - 1/sigma) / (1/p - 1/sigma) with C the
+    integral of |u0|^sigma |v0|^sigma over sigma, the ``coupling_mass`` of
+    the one fibering ray the classification builds.  The threshold depends
+    on the initial pair through C and may be non-positive; classification
+    then reports Indeterminate.
 
     GlobalDecay when phi0 < d_star and psi0 >= 0; BlowUp when phi0 < d_star
     and psi0 < 0; Indeterminate otherwise (including the excluded origin).
-    The verdict is relative to the sampled well-depth estimate behind d_star.
+    The verdict is relative to the sampled well-depth estimate d.
     """
+    if d <= 0:
+        raise ValueError(f"well depth estimate must be positive, got {d}")
+    q, p, sig, beta = params.q, params.p, params.sigma, params.beta
+    ray = FiberingRay.from_pair(u0, v0, params, K_p, K_q)
+    C = ray.coupling_mass / sig
+    ratio = (1.0 / (q * (beta + 1.0)) - 1.0 / sig) / (1.0 / p - 1.0 / sig)
+    d_star = (d - C) * ratio
     if u0.max_abs() == 0.0 and v0.max_abs() == 0.0:
         return Classification(
             verdict="Indeterminate", phi0=0.0, psi0=0.0, psi_variant=variant,
@@ -547,7 +516,6 @@ def classify_initial_data(
             t_max_bound=math.inf,
             note="origin excluded: fibering undefined at (0, 0)",
         )
-    ray = FiberingRay.from_pair(u0, v0, params, K_p, K_q)
     phi0, psi0 = float(ray.phi(1.0)), float(ray.psi(1.0, variant))
     verdict, kind, expo, bound = "Indeterminate", "n/a", None, math.inf
     note = "phi0 >= d_star: hypotheses not met"
@@ -635,19 +603,22 @@ def log_coupling_bound_gap(
 ) -> BoundGap:
     """Gap between the log-coupling integral and its seminorm upper bound.
 
-    lhs = log_coupling(u, v); rhs combines the seminorm logarithms weighted by
-    the sigma-masses plus S times the six seminorm powers (critical exponents
+    lhs is the log-coupling integral of (u, v), the ``log_coupling`` sum of
+    its fibering ray; rhs combines the seminorm logarithms weighted by the
+    sigma-masses plus S times the six seminorm powers (critical exponents
     and sigma).  When a critical exponent is infinite the corresponding power
     terms have no finite meaning: the gap is reported with a note and any
     check based on it should be skipped.
     """
+    if u.domain != v.domain:
+        raise GridError("coupling integrals need a shared domain")
     p, q, sig, s = params.p, params.q, params.sigma, params.s
     su = gagliardo_sum(u, p, s) ** (1.0 / p)
     sv = gagliardo_sum(v, q, s) ** (1.0 / q)
     if su <= 0.0 or sv <= 0.0:
         raise ValueError("log-coupling bound needs nonzero seminorms")
-    lhs = log_coupling(u, v, sig)
     hN = u.domain.cell_measure
+    lhs = float(_coupling_rows(u.values[None], v.values[None], sig, hN)["log_coupling"][0])
     mass_u = float(np.sum(np.abs(u.values) ** sig) * hN)
     mass_v = float(np.sum(np.abs(v.values) ** sig) * hN)
     rhs = math.log(su) * mass_u + math.log(sv) * mass_v

@@ -22,7 +22,7 @@ import pytest
 
 from fracwell import (
     FiberingRay, GridField, IntegratorControls, KirchhoffFn, apply_operator,
-    bilinear_form, bracket, build_grid, classify_initial_data, compute_d_star,
+    bilinear_form, bracket, build_grid, classify_initial_data,
     decay_fit, energy_identity_residual, estimate_well_depth,
     gagliardo_sum, inner, integrate,
     sample_field, tail_decay_check, validate_params,
@@ -83,9 +83,9 @@ def test_criterion_1_operator_correctness():
 def test_criterion_2_inequality_suites():
     t0 = time.perf_counter()
     results = [
-        suite_scalar_log_bounds(count=100_000),
-        suite_kirchhoff_scaling(pairs=1000),
-        suite_interpolation(count=1000),
+        suite_scalar_log_bounds(),
+        suite_kirchhoff_scaling(),
+        suite_interpolation(),
     ]
     elapsed = time.perf_counter() - t0
     bad = [r.name for r in results if not r.passed]
@@ -207,8 +207,7 @@ def test_criterion_6_blowup_bound(params, K):
     checked = 0
     for preset, amp in configs:
         u0 = sample_field(grid, preset, amp)
-        d_star = compute_d_star(d, u0, u0, params)
-        cls = classify_initial_data(u0, u0, params, K, K, d_star, d=d)
+        cls = classify_initial_data(u0, u0, params, K, K, d)
         if cls.verdict != "BlowUp":
             failures.append(f"{preset}@{amp}: verdict {cls.verdict}")
             continue

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,6 +67,44 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
         if block == "integrator":
             assert "'rtol'" in str(info.value)
+
+    @pytest.mark.parametrize("block, contents, key", [
+        ("grid", {"extents": [1.0], "counts": [48], "count": 48}, "count"),
+        ("kirchhoff_p", {"kind": "affine_power", "a": 1.0, "B": 5.0}, "B"),
+        ("kirchhoff_q", {"kind": "log1p", "a": 1.0}, "a"),
+        ("kirchhoff_p", {"kind": "table", "z": [0.0, 1.0], "k": [1.0, 2.0], "c": 1.0}, "c"),
+        ("initial_u", {"preset": "sine", "amplitud": 0.5}, "amplitud"),
+        ("initial_v", {"preset": "indicator", "amplitude": 1.0, "subbox_lo": 0.0}, "subbox_lo"),
+    ])
+    def test_unknown_block_keys_fail_by_name(self, tmp_path, capsys, block, contents, key):
+        # unchecked, a misspelt coefficient key ran with its default (b = 0)
+        raw = json.loads((CONFIGS / "decay.json").read_text())
+        raw[block] = contents
+        raw["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["classify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{block}" in err
+        assert f"'{key}'" in err and "allowed" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block, value", [
+        ("grid", 5), ("kirchhoff_p", []), ("initial_u", "sine"), ("well_depth", None),
+    ])
+    def test_block_that_is_not_an_object_fails_by_name(self, tmp_path, capsys, block, value):
+        raw = json.loads((CONFIGS / "decay.json").read_text())
+        raw[block] = value
+        raw["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["classify", "--config", str(path)]) == 1
+        assert f"config error: {block} must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_an_object(self):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            ExperimentConfig.from_json("[1, 2]")
 
     def test_bad_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -203,6 +242,17 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(make_config(tmp_path))]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_one_coupling_pass_per_classification(self, tmp_path, capsys, monkeypatch):
+        # d* reads the coupling mass from the ray that gives phi0 and psi0
+        monkeypatch.setattr(cli, "_well_estimate", lambda *a: SimpleNamespace(d=0.9))
+        calls = []
+        real = variational._coupling_rows
+        monkeypatch.setattr(variational, "_coupling_rows",
+                            lambda *a: calls.append(a) or real(*a))
+        assert main(["classify", "--config", str(make_config(tmp_path))]) == 0
+        assert json.loads(capsys.readouterr().out)["d"] == 0.9
+        assert len(calls) == 1
+
 
 class TestSimulateCommand:
     def test_decay_run_artifacts(self, tmp_path, capsys):
@@ -316,8 +366,8 @@ class TestFiberingCommand:
 
     def test_one_ray_serves_scan_star_and_mark(self, tmp_path, capsys, monkeypatch):
         built = []
-        real = variational._ray_sums
-        monkeypatch.setattr(variational, "_ray_sums",
+        real = variational._ray_rows
+        monkeypatch.setattr(variational, "_ray_rows",
                             lambda *a: built.append(a) or real(*a))
         assert main(["fibering", "--config", str(make_config(tmp_path))]) == 0
         assert len(built) == 1

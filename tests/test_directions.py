@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fracwell import (
-    FieldPair, GridField, bracket, build_grid, discrete_norm, fracops, sample_field,
+    GridField, bracket, build_grid, discrete_norm, fracops, sample_field,
     validate_params,
 )
 from fracwell.grids import random_smooth_field
@@ -31,12 +31,13 @@ def _normalized(u: GridField) -> GridField | None:
 
 
 def direction_pairs(grid, count, seed, modes=6):
-    """Three preset direction pairs, then up to ``count`` random ones, all normalized."""
+    """Three preset direction pairs, then up to ``count`` random ones, all
+    normalized, each as (label, (u, v))."""
     sine = _normalized(sample_field(grid, "sine"))
     bump = _normalized(sample_field(grid, "bump"))
-    yield "preset:sine-sine", FieldPair(sine, sine)
-    yield "preset:bump-bump", FieldPair(bump, bump)
-    yield "preset:sine-bump", FieldPair(sine, bump)
+    yield "preset:sine-sine", (sine, sine)
+    yield "preset:bump-bump", (bump, bump)
+    yield "preset:sine-bump", (sine, bump)
     root = np.random.SeedSequence(seed)
     for k, child in enumerate(root.spawn(count)):
         rng = np.random.default_rng(child)
@@ -44,7 +45,7 @@ def direction_pairs(grid, count, seed, modes=6):
         v = _normalized(random_smooth_field(grid, rng, modes))
         if u is None or v is None:
             continue
-        yield f"random:{k}", FieldPair(u, v)
+        yield f"random:{k}", (u, v)
 
 
 def lone_couplings(u, v, sigma):
@@ -88,9 +89,9 @@ def test_batched_directions_equal_one_pair_at_a_time(grid, params, count):
     rows = [(u, v) for _, U, V in chunks for u, v in zip(U, V)]
     want = list(direction_pairs(grid, count, seed=5, modes=4))
     assert labels == [label for label, _ in want]
-    for (u, v), (_, pair) in zip(rows, want, strict=True):
-        assert u.tobytes() == pair.u.values.tobytes()
-        assert v.tobytes() == pair.v.values.tobytes()
+    for (u, v), (_, (want_u, want_v)) in zip(rows, want, strict=True):
+        assert u.tobytes() == want_u.values.tobytes()
+        assert v.tobytes() == want_v.values.tobytes()
     for _, U, V in chunks:
         assert_rows_match(U, V, grid, params)
 

@@ -1,18 +1,25 @@
 import dataclasses
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracwell import (
-    FiberingRay, Flow, GridField, IntegratorControls, KirchhoffFn, apply_operator,
-    build_grid, concavity_diagnostic, decay_fit, discrete_norm, energy_identity_residual,
-    fit_decay, inner, integrate, k_eval, rhs, sample_field, tail_decay_check,
+    ExperimentConfig, FiberingRay, Flow, GridField, IntegratorControls, KirchhoffFn,
+    apply_operator, build_grid, concavity_diagnostic, decay_fit, discrete_norm,
+    energy_identity_residual, fit_decay, fracops, inner, integrate, k_eval, rhs,
+    sample_field, tail_decay_check,
 )
+from fracwell.dynamics import RunOutcome
 from fracwell.fracops import bracket
 from fracwell.params import ParamError
 
 from conftest import random_pair
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def field_rhs(u, v, params, K_p, K_q):
@@ -115,6 +122,25 @@ class TestIntegrate:
         assert phis[-1] < phis[0]
         assert np.all(np.diff(trace["D"]) >= 0.0)
         assert np.all(np.diff(trace["t"]) > 0.0)
+
+    @pytest.mark.parametrize("nodes, threshold", [(48, math.inf), (130, 0)],
+                             ids=["serial", "worker"])
+    def test_overflow_inside_a_step_is_a_quiet_blowup(self, monkeypatch, nodes, threshold):
+        # a first step of 0.1 on configs/blowup.json overflows in the stages:
+        # the documented outcome, without a RuntimeWarning from either thread
+        monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
+        raw = json.loads((CONFIGS / "blowup.json").read_text())
+        raw["integrator"]["dt_init"] = 0.1
+        raw["grid"]["counts"] = [nodes]
+        cfg = ExperimentConfig.from_dict(raw)
+        params, grid = cfg.build_params(), cfg.build_grid()
+        Kp, Kq = cfg.build_kirchhoff()
+        u0, v0 = cfg.build_initial_pair(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = integrate(u0, v0, params, Kp, Kq, IntegratorControls(**cfg.integrator))
+        assert trace.outcome == RunOutcome("BlowUp", 0.0, "norm_threshold")
+        assert len(trace) == 1 and np.isfinite(trace["phi"][0])
 
     def test_blowup_detected_with_growth(self, grid32, flagship_params, unit_kirchhoff):
         u0 = sample_field(grid32, "sine", 2.5)
@@ -285,11 +311,12 @@ def blowup_trace(grid32, flagship_params, unit_kirchhoff):
 class TestConcavity:
     def test_nonnegative_along_blowup(self, blowup_trace, grid32, flagship_params,
                                       unit_kirchhoff):
-        from fracwell import compute_d_star, estimate_well_depth
+        from fracwell import classify_initial_data, estimate_well_depth
         est = estimate_well_depth(grid32, flagship_params, unit_kirchhoff,
                                   unit_kirchhoff, directions=40, seed=2)
         u0 = sample_field(grid32, "sine", 2.5)
-        d_star = compute_d_star(est.d, u0, u0, flagship_params)
+        d_star = classify_initial_data(u0, u0, flagship_params, unit_kirchhoff,
+                                       unit_kirchhoff, est.d).d_star
         phi0 = blowup_trace["phi"][0]
         assert d_star > phi0
         a = math.sqrt(d_star - phi0)

@@ -3,13 +3,14 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 import traceback
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracwell import fracops, validate_params, variational
+from fracwell import KirchhoffFn, fracops, validate_params, variational
 from fracwell import (
     GridField, apply_operator, bilinear_form, bracket, build_grid,
     gagliardo_sum, inner, sample_field,
@@ -375,6 +376,44 @@ def test_pair_pass_raises_worker_and_caller_errors(monkeypatch):
     assert _bits(rv) == _bits(fracops._field_pass(v, 2.5, 0.5, True, True))
 
 
+def test_worker_pass_runs_under_the_callers_errstate(monkeypatch):
+    # only v's pass, on the worker, overflows: it follows the caller's
+    # np.errstate, which the worker thread does not inherit by itself
+    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+    grid = build_grid(1.0, 10)
+    u, v = _pair(grid, 6)
+    W, h = weight_table(grid, 3.0, 0.5), grid.cell_measure
+    huge = v.values * 1e200
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+        fracops.pair_values(u.values, W, huge, W, h, 3.0, 3.0, True)
+    assert "_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        (_, gag_u), (_, gag_v) = fracops.pair_values(u.values, W, huge, W, h, 3.0, 3.0, True)
+    assert math.isfinite(gag_u) and gag_v == math.inf
+
+
+@pytest.mark.parametrize("counts", [[512], [24, 24]], ids=["1d-M512", "2d-24x24"])
+def test_weight_table_is_built_in_place(counts):
+    # a build holds the table, and in 2-D one more axis's squares, at its
+    # peak; its bytes are those of the full difference-array formula
+    grid = build_grid([1.0] * len(counts), counts)
+    x = grid.coords
+    for exponent in (2.5, 2.75, 3.5):
+        tracemalloc.start()
+        try:
+            table = fracops._weight_table.__wrapped__(grid, exponent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (grid.ndim + 0.1) * table.nbytes
+        diff = x[:, None, :] - x[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        np.fill_diagonal(dist, 1.0)
+        want = dist ** (-exponent)
+        np.fill_diagonal(want, 0.0)
+        assert table.tobytes() == want.tobytes()
+
+
 def test_pair_pass_from_concurrent_callers(monkeypatch):
     # more callers than cores share the one worker; each gets its own results
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
@@ -433,6 +472,7 @@ def test_pair_pass_builds_a_shared_weight_table_once(monkeypatch):
     params = validate_params(N=1, s=0.37, p=2.75, q=2.75, sigma=4.0, beta=0.0,
                              mode="operations")
     before = fracops._weight_table.cache_info()
-    variational._ray_sums(u, v, params)
+    K = KirchhoffFn.constant(1.0)
+    variational.FiberingRay.from_pair(u, v, params, K, K)
     after = fracops._weight_table.cache_info()
     assert after.misses - before.misses == 1

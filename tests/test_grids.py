@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracwell import (
-    FieldPair, GridError, GridField, build_grid, discrete_norm, inner,
+    GridError, GridField, build_grid, discrete_norm, inner,
     sample_field,
 )
 
@@ -153,11 +153,6 @@ class TestInner:
 def test_field_value_count_checked(grid2):
     with pytest.raises(GridError, match="node count"):
         GridField(grid2, np.ones(3))
-
-
-def test_field_pair_requires_shared_domain(grid2, grid32):
-    with pytest.raises(GridError, match="share"):
-        FieldPair(GridField(grid2, np.ones(2)), GridField(grid32, np.ones(32)))
 
 
 def test_field_values_immutable(grid2):

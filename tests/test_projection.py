@@ -17,6 +17,7 @@ from fracwell import (
     BracketingError, EpsilonStar, FiberingRay, GridField, KirchhoffFn, build_grid,
     validate_params,
 )
+from fracwell import variational
 from fracwell.grids import random_smooth_field
 from fracwell.variational import _direction_chunks, _project_rays
 
@@ -109,9 +110,9 @@ MADE_UP = [
 ]
 
 
-def batch_results(rays, variant, **kw):
+def batch_results(rays, variant):
     batch = FiberingRay.stack(rays)
-    star, iters, side = _project_rays(batch, variant, **kw)
+    star, iters, side = _project_rays(batch, variant)
     found = np.flatnonzero(side == 0)
     phis = dict(zip(found.tolist(), batch.take(found).phi(star[found])))
     return [(float(star[i]), int(iters[i]), 0, phis[i]) if side[i] == 0
@@ -130,11 +131,12 @@ def test_batch_equals_scalar_bisection_bitwise(rays, variant):
     assert len({w[1] for w in want[:-5]}) > 5
 
 
-def test_iteration_cap(rays):
+def test_iteration_cap(rays, monkeypatch):
     # with rel_tol = 0 the bisection only stops at the 400-iteration cap
     want = [oracle(ray, "consistent", rel_tol=0.0) for ray in rays[:8]]
     assert {w[1] for w in want} == {401}
-    assert batch_results(rays[:8], "consistent", rel_tol=0.0) == want
+    monkeypatch.setattr(variational, "_REL_TOL", 0.0)
+    assert batch_results(rays[:8], "consistent") == want
 
 
 def test_ray_powers_match_scalar_calls(rays):

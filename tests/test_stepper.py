@@ -23,7 +23,7 @@ from fracwell.dynamics import (
 )
 from fracwell.fracops import _field_pass
 from fracwell.grids import discrete_norm
-from fracwell.variational import _RAY_SUMS, _masked_log_product, _ray_sums
+from fracwell.variational import _RAY_SUMS, _masked_log_product
 
 
 def reference_rhs(u, v, params, K_p, K_q):
@@ -62,8 +62,9 @@ def reference_integrate(u0, v0, params, K_p, K_q, controls, calls):
     def snapshot(t, dt, y, fy, D):
         uf = GridField(domain, y[:n])
         vf = GridField(domain, y[n:])
+        ray = FiberingRay.from_pair(uf, vf, params, K_p, K_q)
         rows.append(dict(
-            t=t, dt=dt, **_ray_sums(uf, vf, params),
+            t=t, dt=dt, **{name: getattr(ray, name) for name in _RAY_SUMS},
             l2_u=discrete_norm(uf, 2.0), l2_v=discrete_norm(vf, 2.0),
             maxabs_u=uf.max_abs(), maxabs_v=vf.max_abs(), D=D,
             ut_sq=sq_norm(fy[:n]), vt_sq=sq_norm(fy[n:]),
@@ -192,6 +193,6 @@ def test_rhs_writes_into_out_and_returns_the_brackets(flagship_params):
     k, A, B = dynamics.rhs(y, flow, out)
     assert k is out
     assert out.tobytes() == np.concatenate([du.values, dv.values]).tobytes()
-    sums = _ray_sums(u, v, flagship_params)
-    assert (A, B) == (sums["bracket_u"], sums["bracket_v"])
+    ray = FiberingRay.from_pair(u, v, flagship_params, POWER, UNIT)
+    assert (A, B) == (ray.bracket_u, ray.bracket_v)
     assert dynamics.rhs(y, flow)[0].tobytes() == out.tobytes()

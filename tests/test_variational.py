@@ -6,10 +6,9 @@ import pytest
 
 from fracwell import (
     BracketingError, ExperimentConfig, FiberingRay, GridField, KirchhoffFn,
-    blowup_time_bound, build_grid, classify_initial_data, compute_d_star, coupling_mass,
+    blowup_time_bound, build_grid, classify_initial_data,
     estimate_embedding_constant, estimate_well_depth, gagliardo_sum,
-    log_coupling, log_coupling_bound_gap, sample_field,
-    validate_params, well_lower_bound,
+    log_coupling_bound_gap, sample_field, validate_params, well_lower_bound,
 )
 from fracwell import variational
 from fracwell.fracops import bracket
@@ -29,27 +28,28 @@ def ops_params():
 
 
 class TestCouplingIntegrals:
-    def test_zero_factor_kills_integral(self, grid2):
+    # the coupling integrals of a pair are sums of its fibering ray
+    @staticmethod
+    def log_coupling(u, v, params):
+        K = KirchhoffFn.constant(1.0)
+        return FiberingRay.from_pair(u, v, params, K, K).log_coupling
+
+    def test_zero_factor_kills_integral(self, grid2, ops_params):
         u = GridField(grid2, np.array([1.0, 2.0]))
         z = GridField(grid2, np.zeros(2))
-        assert log_coupling(u, z, 4.0) == 0.0
-        assert log_coupling(z, u, 4.0) == 0.0
+        assert self.log_coupling(u, z, ops_params) == 0.0
+        assert self.log_coupling(z, u, ops_params) == 0.0
 
-    def test_constant_fields_exact(self):
+    def test_constant_fields_exact(self, ops_params):
         g = build_grid(1.0, 6)
         ue = sample_field(g, "constant", math.e)
         v1 = sample_field(g, "constant", 1.0)
-        assert log_coupling(ue, v1, 4.0) == pytest.approx(math.e ** 4, rel=1e-14)
+        assert self.log_coupling(ue, v1, ops_params) == pytest.approx(math.e ** 4, rel=1e-14)
 
-    def test_log_one_vanishes(self):
+    def test_log_one_vanishes(self, ops_params):
         g = build_grid(1.0, 6)
         one = sample_field(g, "constant", 1.0)
-        assert log_coupling(one, one, 4.0) == 0.0
-
-    def test_sigma_precondition(self, grid2):
-        u = GridField(grid2, np.ones(2))
-        with pytest.raises(ParamError):
-            log_coupling(u, u, 0.5)
+        assert self.log_coupling(one, one, ops_params) == 0.0
 
 
 class TestEnergyReport:
@@ -130,9 +130,10 @@ class TestFibering:
         mask = au * av > 0.0
         lg = np.log(au[mask] * av[mask])
         hN = grid32.cell_measure
+        c = au ** sig * av ** sig
         expected = dict(
             bracket_u=bracket(u, prm.p, prm.s), bracket_v=bracket(v, prm.q, prm.s),
-            coupling_mass=coupling_mass(u, v, sig), log_coupling=log_coupling(u, v, sig),
+            coupling_mass=float(np.sum(c) * hN), log_coupling=float(np.sum(c[mask] * lg) * hN),
             coupling_high=float(np.sum((au * av) ** (sig + 1.0)) * hN),
             log_coupling_high=float(np.sum((au[mask] * av[mask]) ** (sig + 1.0) * lg) * hN))
         calls = []
@@ -214,10 +215,10 @@ class TestFibering:
 
     def test_disjoint_supports_fail_bracketing(self, flagship_params, unit_kirchhoff):
         g = build_grid(1.0, 16)
-        u = sample_field(g, "indicator", 1.0, subbox_lo=0.0, subbox_hi=0.5)
-        v = sample_field(g, "indicator", 1.0, subbox_lo=0.5, subbox_hi=1.0)
-        assert coupling_mass(u, v, 4.0) == 0.0
+        left = g.coords[:, 0] < 0.5
+        u, v = GridField(g, left.astype(float)), GridField(g, (~left).astype(float))
         ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        assert ray.coupling_mass == 0.0
         with pytest.raises(BracketingError, match="not bracketed"):
             ray.epsilon_star()
 
@@ -301,15 +302,41 @@ class TestWellDepth:
 
 
 class TestThresholds:
-    def test_d_star_exact_fraction(self, flagship_params):
+    def test_d_star_exact_fraction(self, flagship_params, unit_kirchhoff):
         g = build_grid(1.0, 8)
         z = GridField(g, np.zeros(8))
-        assert compute_d_star(1.0, z, z, flagship_params) == pytest.approx(3.0 / 7.0)
+        cls = classify_initial_data(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff, 1.0)
+        assert cls.d_star == pytest.approx(3.0 / 7.0)
 
-    def test_d_star_equals_zero_when_d_equals_coupling(self, grid32, flagship_params):
+    def test_d_star_equals_zero_when_d_equals_coupling(self, grid32, flagship_params,
+                                                        unit_kirchhoff):
         u = sample_field(grid32, "sine", 1.0)
-        C = coupling_mass(u, u, 4.0) / 4.0
-        assert compute_d_star(C, u, u, flagship_params) == pytest.approx(0.0, abs=1e-15)
+        K = unit_kirchhoff
+        C = FiberingRay.from_pair(u, u, flagship_params, K, K).coupling_mass / 4.0
+        cls = classify_initial_data(u, u, flagship_params, K, K, C)
+        assert cls.d_star == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["blowup", "decay", "kirchhoff_decay"])
+    def test_d_star_from_the_pair_ray_bitwise(self, name):
+        cfg = ExperimentConfig.load(CONFIGS / f"{name}.json")
+        params, grid = cfg.build_params(), cfg.build_grid()
+        Kp, Kq = cfg.build_kirchhoff()
+        u0, v0 = cfg.build_initial_pair(grid)
+        p, q, sig, beta = params.p, params.q, params.sigma, params.beta
+        ratio = (1.0 / (q * (beta + 1.0)) - 1.0 / sig) / (1.0 / p - 1.0 / sig)
+        ray = FiberingRay.from_pair(u0, v0, params, Kp, Kq)
+        for d in (0.934, 2.5):
+            cls = classify_initial_data(u0, v0, params, Kp, Kq, d)
+            want = (d - ray.coupling_mass / sig) * ratio
+            assert np.float64(cls.d_star).tobytes() == np.float64(want).tobytes()
+            assert cls.d == d
+
+    def test_well_depth_must_be_positive(self, grid32, flagship_params, unit_kirchhoff):
+        u = sample_field(grid32, "sine", 1.0)
+        for d in (0.0, -1.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                classify_initial_data(u, u, flagship_params, unit_kirchhoff,
+                                      unit_kirchhoff, d)
 
     def test_bound_worked_example(self):
         g = build_grid(1.0, 4)
@@ -342,8 +369,7 @@ def well(grid48, flagship_params, unit_kirchhoff):
 class TestClassification:
     def _classify(self, amp, grid, params, K, d):
         u = sample_field(grid, "sine", amp)
-        d_star = compute_d_star(d, u, u, params)
-        return classify_initial_data(u, u, params, K, K, d_star, d=d)
+        return classify_initial_data(u, u, params, K, K, d)
 
     def test_small_amplitude_decays(self, grid48, flagship_params, unit_kirchhoff, well):
         cls = self._classify(0.4, grid48, flagship_params, unit_kirchhoff, well.d)
@@ -368,7 +394,7 @@ class TestClassification:
     def test_origin_excluded(self, grid48, flagship_params, unit_kirchhoff):
         z = GridField(grid48, np.zeros(48))
         cls = classify_initial_data(z, z, flagship_params, unit_kirchhoff,
-                                    unit_kirchhoff, d_star=0.4)
+                                    unit_kirchhoff, d=0.4)
         assert cls.verdict == "Indeterminate"
         assert "origin" in cls.note
 
@@ -421,13 +447,20 @@ class TestEmbeddingAndLogBound:
     def test_symmetric_pair_reduces_to_single_field(self, grid2d, params2d):
         u, _ = random_pair(grid2d, 9, modes=3)
         gap = log_coupling_bound_gap(u, u, params2d, S=1.0)
-        direct = log_coupling(u, u, params2d.sigma)
+        K = KirchhoffFn.constant(1.0)
+        direct = FiberingRay.from_pair(u, u, params2d, K, K).log_coupling
         assert gap.lhs == pytest.approx(direct, rel=1e-12)
 
     def test_infinite_critical_exponent_noted(self, grid32, flagship_params):
         u, v = random_pair(grid32, 2)
         gap = log_coupling_bound_gap(u, v, flagship_params, S=1.0)
         assert "critical exponent infinite" in gap.note
+
+    def test_pair_needs_a_shared_domain(self, grid2d, params2d):
+        u = sample_field(grid2d, "sine", 1.0)
+        v = sample_field(build_grid([1.0, 1.0], [6, 6]), "sine", 1.0)
+        with pytest.raises(GridError, match="shared domain"):
+            log_coupling_bound_gap(u, v, params2d, S=1.0)
 
     def test_zero_seminorm_rejected(self, grid2d, params2d):
         c = sample_field(grid2d, "constant", 1.0)
