@@ -191,15 +191,19 @@ def _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0, eps_lo, eps_hi, co
 
 
 def cmd_fibering(args) -> int:
+    lo, hi, points = args.eps_min, args.eps_max, args.points
+    if points < 1:
+        raise ConfigError(f"--points must be at least 1, got {points}")
+    if not 0.0 < lo < hi < math.inf:
+        raise ConfigError(f"need 0 < --eps-min < --eps-max < inf, got {lo}, {hi}")
     cfg = _load_config(args)
     params, grid, Kp, Kq, u0, v0 = _setup(cfg, well=False)
     if u0.max_abs() == 0.0 and v0.max_abs() == 0.0:
         raise ValueError("fibering scan needs a nonzero pair")
     run_dir = cfg.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0,
-                        args.eps_min, args.eps_max, args.points)
-    print(f"fibering scan with {args.points} points written to {run_dir}")
+    _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0, lo, hi, points)
+    print(f"fibering scan with {points} points written to {run_dir}")
     return EXIT_OK
 
 

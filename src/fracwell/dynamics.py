@@ -28,7 +28,7 @@ z' = |u_t|^2 + |v_t|^2, so the identity residual is the pair's global error
 on the invariant phi + z and converges like it, O(rtol) or better.
 
 The loop works on the stacked state y = [u, v] in reused buffers.  A run's
-``Flow`` resolves both weight tables and h^N once, and each stage is one
+``Flow`` resolves the kernels of u and v once, and each stage is one
 ``rhs`` call: one pair pass, whose u_t and v_t go into one row of the stage
 array.  The stage sums y + dt * sum(a_j k_j) are formed in place, term by
 term in the tableau's order, so every value is bit-identical to the plain
@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fracops import pair_values, weight_table
+from .fracops import Kernel, kernel, pair_values
 from .grids import GridDomain, GridField
 from .kirchhoff import KirchhoffFn, k_eval
 from .params import ModelParams, ParamError
@@ -56,23 +56,19 @@ from .variational import _RAY_SUMS, FiberingRay, _coupling_rows, _masked_log_pro
 
 
 class Flow(NamedTuple):
-    """The semi-discrete flow on one grid, with what every right-hand side
-    shares resolved once: both weight tables, h^N and the node count."""
+    """The semi-discrete flow on one grid, with the kernels of u and v resolved once."""
 
     params: ModelParams
     K_p: KirchhoffFn
     K_q: KirchhoffFn
-    W_p: np.ndarray
-    W_q: np.ndarray
-    hN: float
-    n: int
+    k_p: Kernel
+    k_q: Kernel
 
     @classmethod
     def on(cls, domain: GridDomain, params: ModelParams, K_p: KirchhoffFn,
            K_q: KirchhoffFn) -> "Flow":
         p, q, s = params.p, params.q, params.s
-        return cls(params, K_p, K_q, weight_table(domain, p, s), weight_table(domain, q, s),
-                   domain.cell_measure, domain.node_count)
+        return cls(params, K_p, K_q, kernel(domain, p, s), kernel(domain, q, s))
 
 
 def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None
@@ -87,10 +83,11 @@ def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None
     energy chain with the consistent Nehari functional exact; see the module
     docstring.
     """
-    params, K_p, K_q, W_p, W_q, hN, n = flow
+    params, K_p, K_q, k_p, k_q = flow
     p, q, sig = params.p, params.q, params.sigma
+    n = len(y) // 2
     uu, vv = y[:n], y[n:]
-    (Lu, gag_u), (Lv, gag_v) = pair_values(uu, W_p, vv, W_q, hN, p, q, True)
+    (Lu, gag_u), (Lv, gag_v) = pair_values(uu, k_p, vv, k_q, True)
     A, B = gag_u / p, gag_v / q
     lg, _ = _masked_log_product(uu, vv)
     ay = np.abs(y)
@@ -215,7 +212,7 @@ def integrate(
     StepUnderflow otherwise).
     """
     flow = Flow.on(u0.domain, params, K_p, K_q)
-    n, hN = flow.n, flow.hN
+    n, hN = u0.domain.node_count, u0.domain.cell_measure
     y = np.concatenate([u0.values, v0.values])
     ks = np.empty((7, 2 * n))       # stage derivatives; ks[6] is the next step's ks[0]
     ys, y5, y4, acc, term = (np.empty(2 * n) for _ in range(5))

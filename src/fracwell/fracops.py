@@ -21,8 +21,9 @@ than only in the mesh limit.
 One pass per field: ``_dense_pass`` builds the difference table
 d_ij = u_i - u_j once, in a reused per-thread workspace, and returns both the
 operator and the Gagliardo sum; through ``pair_values``, which takes nodal
-values and weight tables resolved once by the caller, ``dynamics.rhs`` gets
-one pass per field per stage.  ``apply_operator``, ``gagliardo_sum`` and
+values and each field's ``Kernel`` (weight table, h^N and exponent), resolved
+once by the caller through ``kernel``, ``dynamics.rhs`` gets one pass per
+field per stage.  ``apply_operator``, ``gagliardo_sum`` and
 ``bracket`` run the same pass with one of its two outputs switched off.
 The well-depth directions and every fibering ray pass stacks of fields, one
 difference table each, through ``pair_values`` with the operator off.
@@ -42,8 +43,6 @@ two CPUs; below that the handoff costs more than it saves and the two passes
 run one after the other.  Each pass runs the same ufuncs in the same order
 either way, so the results are bit-identical.  A stack goes over as one job,
 whatever its length, and each thread walks its own stack in pieces.
-``pair_values`` is the one two-field entry: ``dynamics.rhs``, the well-depth
-directions and every fibering ray go through it.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from __future__ import annotations
 import os
 import threading
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,17 +79,26 @@ def _weight_table(domain: GridDomain, exponent: float) -> np.ndarray:
     return table
 
 
-def weight_table(domain: GridDomain, p: float, s: float) -> np.ndarray:
-    """Shared read-only kernel weight table for the exponent N + s*p."""
-    _check_exponents(p, s)
-    return _weight_table(domain, domain.ndim + s * p)
+class Kernel(NamedTuple):
+    """A field's kernel, built by ``kernel``: weight table W, cell measure h^N, exponent p."""
+
+    W: np.ndarray
+    hN: float
+    p: float
 
 
-def _check_exponents(p: float, s: float) -> None:
+def kernel(domain: GridDomain, p: float, s: float) -> Kernel:
+    """The kernel of exponent p and order s on a grid, on its shared table."""
     if p <= 1.0:
         raise ValueError(f"kernel exponent must satisfy p > 1, got {p}")
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {s}")
+    return Kernel(_weight_table(domain, domain.ndim + s * p), domain.cell_measure, p)
+
+
+def weight_table(domain: GridDomain, p: float, s: float) -> np.ndarray:
+    """Shared read-only kernel weight table for the exponent N + s*p."""
+    return kernel(domain, p, s).W
 
 
 def _signed_power(d: np.ndarray, p: float) -> np.ndarray:
@@ -123,11 +132,10 @@ _STACK_BYTES = 128 * 1024
 
 
 def _dense_pass(
-    values: np.ndarray, W: np.ndarray, hN: float, p: float, operator: bool, seminorm: bool
+    values: np.ndarray, k: Kernel, operator: bool, seminorm: bool
 ) -> tuple[np.ndarray | None, float | np.ndarray | None]:
-    """One pass over the difference table of nodal values: (operator values,
-    Gagliardo sum), with W the weight table of the exponent N + s*p and hN
-    the cell measure h^N.
+    """One pass over the difference table of nodal values on the kernel k:
+    (operator values, Gagliardo sum).
 
     The table d = u_i - u_j is built once in the thread's workspace; |d| is
     taken from it afresh for each output, and every step overwrites a buffer
@@ -145,10 +153,11 @@ def _dense_pass(
     ``_STACK_BYTES``: 7 fields at M=48, where a piece spares most of a pass's
     call overhead (5.0 against 6.8 ms for 203 pairs), and one from M=91 on.
     """
+    W, hN, p = k
     m = values.shape[-1]
     step = max(1, _STACK_BYTES // (8 * m * m))
     if values.ndim == 2 and len(values) > step:
-        pieces = [_dense_pass(values[i:i + step], W, hN, p, operator, seminorm)
+        pieces = [_dense_pass(values[i:i + step], k, operator, seminorm)
                   for i in range(0, len(values), step)]
         return tuple(None if rows[0] is None else np.concatenate(rows) for rows in zip(*pieces))
     buffers = _pass_buffers(values.shape[:-1] + (m, m), 2 if operator else 1)
@@ -170,14 +179,6 @@ def _dense_pass(
         d *= W
         out = 2.0 * hN * np.add.reduce(d, axis=-1)
     return out, gag
-
-
-def _field_pass(
-    u: GridField, p: float, s: float, operator: bool, seminorm: bool
-) -> tuple[np.ndarray | None, float | None]:
-    """``_dense_pass`` of a field, on its domain's weight table."""
-    return _dense_pass(u.values, weight_table(u.domain, p, s), u.domain.cell_measure,
-                       p, operator, seminorm)
 
 
 def _usable_cpus() -> int:
@@ -227,16 +228,14 @@ if hasattr(os, "register_at_fork"):
 
 
 def pair_values(
-    uu: np.ndarray, W_p: np.ndarray, vv: np.ndarray, W_q: np.ndarray, hN: float,
-    p: float, q: float, operator: bool
+    uu: np.ndarray, ku: Kernel, vv: np.ndarray, kv: Kernel, operator: bool
 ) -> tuple[tuple[np.ndarray | None, float | np.ndarray],
            tuple[np.ndarray | None, float | np.ndarray]]:
-    """The dense passes of u (exponent p, weight table W_p) and v (exponent
-    q, table W_q) on nodal values, side by side; uu and vv may be stacks of
-    fields of any (equal) length.
+    """The dense passes of u (kernel ku) and v (kernel kv) on nodal values,
+    side by side; uu and vv may be stacks of fields of any (equal) length.
 
-    Returns ``(_dense_pass(uu, W_p, hN, p, operator, True),
-    _dense_pass(vv, W_q, hN, q, operator, True))``, bit for bit: per field,
+    Returns ``(_dense_pass(uu, ku, operator, True),
+    _dense_pass(vv, kv, operator, True))``, bit for bit: per field,
     the operator values (None unless ``operator``) and the Gagliardo sum.
     From ``_THREADED_MIN_NODES`` nodes on, v's pass, its whole stack, runs on
     the worker thread while the caller runs u's, under the caller's
@@ -244,7 +243,7 @@ def pair_values(
     there is raised here.
     """
     global _worker
-    args_u, args_v = (uu, W_p, hN, p, operator, True), (vv, W_q, hN, q, operator, True)
+    args_u, args_v = (uu, ku, operator, True), (vv, kv, operator, True)
     if uu.shape[-1] < _THREADED_MIN_NODES:
         return _dense_pass(*args_u), _dense_pass(*args_v)
     with _worker_lock:      # one caller at a time: results come back in order
@@ -269,7 +268,7 @@ def gagliardo_sum(u: GridField, p: float, s: float) -> float:
 
     Returns sum_{i != j} |u_i - u_j|^p / |x_i - x_j|^(N+sp) * h^(2N).
     """
-    return _field_pass(u, p, s, operator=False, seminorm=True)[1]
+    return _dense_pass(u.values, kernel(u.domain, p, s), operator=False, seminorm=True)[1]
 
 
 def bracket(u: GridField, p: float, s: float) -> float:
@@ -281,11 +280,10 @@ def bilinear_form(u: GridField, w: GridField, p: float, s: float) -> float:
     """Pairwise form sum |u_i-u_j|^(p-2)(u_i-u_j)(w_i-w_j) * weight * h^(2N)."""
     if u.domain != w.domain:
         raise GridError("bilinear form requires a shared domain")
-    W = weight_table(u.domain, p, s)
+    W, hN, _ = kernel(u.domain, p, s)
     du = u.values[:, None] - u.values[None, :]
     dw = w.values[:, None] - w.values[None, :]
-    h2 = u.domain.cell_measure ** 2
-    return float(np.sum(_signed_power(du, p) * dw * W) * h2)
+    return float(np.sum(_signed_power(du, p) * dw * W) * hN ** 2)
 
 
 def apply_operator(u: GridField, p: float, s: float) -> GridField:
@@ -298,7 +296,8 @@ def apply_operator(u: GridField, p: float, s: float) -> GridField:
     discrete level, and so that the gradient of ``bracket`` with respect to
     the nodal value u_i is h^N * (Lu)_i.
     """
-    return GridField(u.domain, _field_pass(u, p, s, operator=True, seminorm=False)[0])
+    k = kernel(u.domain, p, s)
+    return GridField(u.domain, _dense_pass(u.values, k, operator=True, seminorm=False)[0])
 
 
 # Naive double-loop references: used only by the exactness cross-checks.

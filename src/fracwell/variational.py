@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracops import gagliardo_sum, pair_values, weight_table
+from .fracops import gagliardo_sum, kernel, pair_values
 from .grids import (
     GridDomain, GridField, GridError, discrete_norm, random_smooth_field, sample_field,
     smooth_mode_rows,
@@ -216,15 +216,15 @@ class FiberingRay:
         return abs(k_eval(self.K_p, A) * A) + abs(k_eval(self.K_q, B) * B)
 
     def scan(self, eps_grid: Sequence[float]) -> dict[str, np.ndarray]:
-        """Columns eps, phi, psi_consistent and psi_printed on a positive,
-        strictly increasing eps grid: one array call per functional, equal bit
-        for bit to the scalar calls and, by homogeneity, to direct evaluation
-        at the scaled fields up to about 1e-14 relative."""
+        """Columns eps, phi, psi_consistent and psi_printed on a finite,
+        positive, strictly increasing eps grid: one array call per functional,
+        equal bit for bit to the scalar calls and, by homogeneity, to direct
+        evaluation at the scaled fields up to about 1e-14 relative."""
         eps = np.asarray(list(eps_grid), dtype=float)
         if eps.size == 0:
             raise ValueError("empty eps grid")
-        if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
-            raise ValueError("eps grid must be positive and strictly increasing")
+        if not (np.all(np.isfinite(eps) & (eps > 0)) and np.all(np.diff(eps) > 0)):
+            raise ValueError("eps grid must be finite, positive and strictly increasing")
         return dict(eps=eps, phi=self.phi(eps), psi_consistent=self.psi_consistent(eps),
                     psi_printed=self.psi_printed(eps))
 
@@ -367,11 +367,10 @@ def _ray_rows(U: np.ndarray, V: np.ndarray, grid: GridDomain,
     """The six ray sums of every row pair (U[i], V[i]), by field name, each
     equal bit for bit to the sums of that pair alone: the brackets from one
     ``pair_values`` call, the couplings from ``_coupling_rows``."""
-    p, q, s, hN = params.p, params.q, params.s, grid.cell_measure
-    (_, gag_u), (_, gag_v) = pair_values(U, weight_table(grid, p, s), V,
-                                         weight_table(grid, q, s), hN, p, q, False)
+    p, q, s = params.p, params.q, params.s
+    (_, gag_u), (_, gag_v) = pair_values(U, kernel(grid, p, s), V, kernel(grid, q, s), False)
     return dict(bracket_u=gag_u / p, bracket_v=gag_v / q,
-                **_coupling_rows(U, V, params.sigma, hN))
+                **_coupling_rows(U, V, params.sigma, grid.cell_measure))
 
 
 def estimate_well_depth(
@@ -389,9 +388,10 @@ def estimate_well_depth(
 
     The directions vanish at the box edges, so ``d`` is a sampled upper
     estimate, about 15x above the constant pair's Nehari point on
-    ``configs/decay.json`` (see ``WellEstimate``).  Optionally refines the best pair by coordinate descent on nodal values
-    with re-projection through the critical fibering scale after each move;
-    refinement can only lower the estimate.
+    ``configs/decay.json`` (see ``WellEstimate``).  Optionally refines the
+    best pair by coordinate descent on nodal values with re-projection
+    through the critical fibering scale after each move; refinement can only
+    lower the estimate.
     """
     if not params.well_regime:
         raise ParamError("well depth needs admissible (well-regime) parameters")

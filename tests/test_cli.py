@@ -382,6 +382,22 @@ class TestFiberingCommand:
         svg = (run_dir / "fibering.svg").read_text()
         assert "outside scanned range" in svg
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--points", "0"], "--points"), (["--points", "-5"], "--points"),
+        (["--eps-min", "0"], "--eps-min"), (["--eps-min", "-1"], "--eps-min"),
+        (["--eps-min", "10", "--eps-max", "1"], "--eps-max"),
+        (["--eps-min", "nan"], "--eps-min"), (["--eps-max", "inf"], "--eps-max"),
+    ], ids=["points-0", "points-negative", "eps-min-0", "eps-min-negative", "eps-min-above-max",
+            "eps-min-nan", "eps-max-inf"])
+    def test_bad_scan_flags_fail_by_name_before_the_run_directory(self, tmp_path, capsys,
+                                                                  flags, name):
+        out = tmp_path / "out"
+        code = main(["fibering", "--config", str(CONFIGS / "decay.json"), "--out", str(out),
+                     *flags])
+        err = capsys.readouterr().err
+        assert code == 1 and "config error" in err and name in err
+        assert not out.exists()
+
     def test_zero_pair_fails_before_the_run_directory(self, tmp_path, capsys):
         path = make_config(tmp_path, amplitude=0.0)
         assert main(["fibering", "--config", str(path)]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -5,17 +6,22 @@ import sys
 import threading
 import tracemalloc
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracwell import KirchhoffFn, fracops, validate_params, variational
+from fracwell import (
+    ExperimentConfig, KirchhoffFn, dynamics, fracops, validate_params, variational,
+)
 from fracwell import (
     GridField, apply_operator, bilinear_form, bracket, build_grid,
     gagliardo_sum, inner, sample_field,
 )
-from fracwell.fracops import apply_operator_naive, gagliardo_sum_naive, weight_table
+from fracwell.fracops import (
+    Kernel, apply_operator_naive, gagliardo_sum_naive, kernel, weight_table,
+)
 from fracwell.grids import GridError
 
 # 2-cell grid on (0,1): nodes {0.25, 0.75}, distance 0.5, h = 0.5.
@@ -156,7 +162,7 @@ class TestFusedPass:
 
     def test_equals_separate_passes_exactly(self, p, grid):
         u = self.field(grid, p)
-        Lu, gag = fracops._field_pass(u, p, 0.4, True, True)
+        Lu, gag = fracops._dense_pass(u.values, kernel(u.domain, p, 0.4), True, True)
         assert Lu.shape == (grid.node_count,)
         assert np.array_equal(Lu, apply_operator(u, p, 0.4).values)
         assert gag / p == bracket(u, p, 0.4) == gagliardo_sum(u, p, 0.4) / p
@@ -168,17 +174,35 @@ class TestFusedPass:
         W = weight_table(grid, p, 0.4)
         du = u.values[:, None] - u.values[None, :]
         h = grid.cell_measure
-        Lu, gag = fracops._field_pass(u, p, 0.4, True, True)
+        Lu, gag = fracops._dense_pass(u.values, kernel(u.domain, p, 0.4), True, True)
         assert gag / p == float(np.sum(np.abs(du) ** p * W) * h ** 2) / p
         assert np.array_equal(
             Lu, 2.0 * h * np.sum(np.sign(du) * np.abs(du) ** (p - 1.0) * W, axis=1))
 
     def test_matches_naive_loops(self, p, grid):
         u = self.field(grid, p)
-        Lu, gag = fracops._field_pass(u, p, 0.4, True, True)
+        Lu, gag = fracops._dense_pass(u.values, kernel(u.domain, p, 0.4), True, True)
         assert gag == pytest.approx(gagliardo_sum_naive(u, p, 0.4), rel=1e-12)
         slow = apply_operator_naive(u, p, 0.4).values
         assert np.all(np.abs(Lu - slow) <= 1e-12 * (1.0 + np.abs(slow)))
+
+
+def test_box_seminorm_convergence_order():
+    # decay.json's initial pair (sine, amplitude 0.5) on M = 48 ... 768: the
+    # order log2 of successive differences of the bracket reads about p(1-s)
+    # (1.55, 1.54, 1.53 against 1.5 for u) and q(1-s) (1.82, 1.81, 1.81
+    # against 1.75 for v)
+    cfg = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "configs" / "decay.json")
+    params = cfg.build_params()
+    brackets = []
+    for m in (48, 96, 192, 384, 768):
+        grid = dataclasses.replace(cfg, grid={"extents": [1.0], "counts": [m]}).build_grid()
+        u, v = cfg.build_initial_pair(grid)
+        brackets.append((bracket(u, params.p, params.s), bracket(v, params.q, params.s)))
+    b = np.array(brackets)
+    orders = np.log2((b[:-2] - b[1:-1]) / (b[1:-1] - b[2:]))
+    assert np.all((1.4 <= orders[:, 0]) & (orders[:, 0] <= 1.7)), orders[:, 0]
+    assert np.all((1.7 <= orders[:, 1]) & (orders[:, 1] <= 1.9)), orders[:, 1]
 
 
 SMALL_GRIDS = [build_grid(1.0, m) for m in range(2, 13)] + [
@@ -200,7 +224,7 @@ def small_fields(draw):
 def test_fused_pass_matches_naive_loops_property(u, p, s):
     # p in (1, 4], 1 < p < 2 included; relative error <= 1e-12, the operator's
     # measured against the sum of its terms' magnitudes (rows may cancel)
-    Lu, fused = fracops._field_pass(u, p, s, True, True)
+    Lu, fused = fracops._dense_pass(u.values, kernel(u.domain, p, s), True, True)
     gag = gagliardo_sum_naive(u, p, s)
     assert abs(fused - gag) <= 1e-12 * gag
     du = np.abs(np.subtract.outer(u.values, u.values))
@@ -214,27 +238,28 @@ def test_workspace_reuse_leaves_earlier_results_alone():
     rng = np.random.default_rng(4)
     g16, g24 = build_grid(1.0, 16), build_grid(1.0, 24)
     u, w = (GridField(g16, rng.normal(size=16)) for _ in range(2))
-    Lu, A = fracops._field_pass(u, 3.0, 0.5, True, True)
+    Lu, A = fracops._dense_pass(u.values, kernel(g16, 3.0, 0.5), True, True)
     kept = Lu.copy()
     buffers = list(fracops._local.buffers)
     assert len(buffers) == 2
-    Lw, B = fracops._field_pass(w, 3.0, 0.5, True, True)
+    Lw, B = fracops._dense_pass(w.values, kernel(g16, 3.0, 0.5), True, True)
     assert np.array_equal(Lu, kept) and not np.array_equal(Lw, kept)
     assert all(a is b for a, b in zip(fracops._local.buffers, buffers))   # same M: reused
     z = GridField(g24, rng.normal(size=24))
-    Lz, C = fracops._field_pass(z, 2.5, 0.5, True, True)          # new M: reallocated
+    Lz, C = fracops._dense_pass(z.values, kernel(g24, 2.5, 0.5), True, True)   # new M: reallocated
     assert fracops._local.buffers[0].shape == (24, 24)
     assert np.all(np.abs(Lz - apply_operator_naive(z, 2.5, 0.5).values)
                   <= 1e-12 * (1.0 + np.abs(Lz)))
     assert C == pytest.approx(gagliardo_sum_naive(z, 2.5, 0.5), rel=1e-12)
-    again, A2 = fracops._field_pass(u, 3.0, 0.5, True, True)
+    again, A2 = fracops._dense_pass(u.values, kernel(g16, 3.0, 0.5), True, True)
     assert np.array_equal(again, kept) and A2 == A
     assert np.array_equal(Lu, kept)
     # another thread passes in a workspace of its own and leaves this one alone
     mine = list(fracops._local.buffers)
     seen = []
     worker = threading.Thread(target=lambda: seen.append(
-        (fracops._field_pass(u, 3.0, 0.5, True, True), list(fracops._local.buffers))))
+        (fracops._dense_pass(u.values, kernel(g16, 3.0, 0.5), True, True),
+         list(fracops._local.buffers))))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
@@ -261,10 +286,9 @@ def _pair(grid, seed):
 
 
 def _pair_pass(u, p, v, q, s, operator):
-    """``pair_values`` of two fields on their resolved weight tables."""
-    return fracops.pair_values(u.values, weight_table(u.domain, p, s), v.values,
-                               weight_table(v.domain, q, s), u.domain.cell_measure,
-                               p, q, operator)
+    """``pair_values`` of two fields on their kernels."""
+    return fracops.pair_values(u.values, kernel(u.domain, p, s), v.values,
+                               kernel(v.domain, q, s), operator)
 
 
 @pytest.mark.parametrize("operator", [True, False])
@@ -277,8 +301,8 @@ def _pair_pass(u, p, v, q, s, operator):
 def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold,
                                                      threaded, operator):
     u, v = _pair(grid, grid.node_count)
-    expected = (fracops._field_pass(u, 3.0, 0.4, operator, True),
-                fracops._field_pass(v, 3.5, 0.4, operator, True))
+    expected = (fracops._dense_pass(u.values, kernel(u.domain, 3.0, 0.4), operator, True),
+                fracops._dense_pass(v.values, kernel(v.domain, 3.5, 0.4), operator, True))
     ran_on = []
     serial_pass = fracops._dense_pass
 
@@ -303,13 +327,13 @@ def test_pair_pass_walks_a_stack_in_pieces(monkeypatch, m, threshold, operator):
     step = max(1, fracops._STACK_BYTES // (8 * m * m))
     grid = build_grid(1.0, m)
     U, V = np.random.default_rng(m).normal(size=(2, 2 * step + 1, m))
-    W_p, W_q, h = weight_table(grid, 3.0, 0.4), weight_table(grid, 3.5, 0.4), grid.cell_measure
+    k_p, k_q = kernel(grid, 3.0, 0.4), kernel(grid, 3.5, 0.4)
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
-    got = fracops.pair_values(U, W_p, V, W_q, h, 3.0, 3.5, operator)
-    for (values, gag), rows, W, e in zip(got, (U, V), (W_p, W_q), (3.0, 3.5)):
+    got = fracops.pair_values(U, k_p, V, k_q, operator)
+    for (values, gag), rows, k in zip(got, (U, V), (k_p, k_q)):
         assert gag.shape == (len(rows),) and (values is None) != operator
         for i, row in enumerate(rows):
-            lone = fracops._dense_pass(row, W, h, e, operator, True)
+            lone = fracops._dense_pass(row, k, operator, True)
             assert _bits((None if values is None else values[i], gag[i])) == _bits(lone), i
 
 
@@ -317,8 +341,8 @@ def test_threaded_stack_is_one_job_on_the_worker(monkeypatch):
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     grid = build_grid(1.0, 48)
     U, V = np.random.default_rng(4).normal(size=(2, 23, 48))     # 4 pieces per thread
-    W = weight_table(grid, 3.0, 0.5)
-    args = (U, W, V, W, grid.cell_measure, 3.0, 3.0, False)
+    k = kernel(grid, 3.0, 0.5)
+    args = (U, k, V, k, False)
     want = tuple(map(_bits, fracops.pair_values(*args)))     # starts the worker
     jobs, results = fracops._worker
     sent = []
@@ -353,27 +377,28 @@ def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
             values, 2.0 * h * np.sum(np.sign(d) * np.abs(d) ** (e - 1.0) * W, axis=1))
         assert np.float64(gag).tobytes() == np.float64(
             float(np.sum(np.abs(d) ** e * W) * h ** 2)).tobytes()
-        Lw, gag_w = fracops._field_pass(w, e, 0.4, True, True)
+        Lw, gag_w = fracops._dense_pass(w.values, kernel(w.domain, e, 0.4), True, True)
         assert np.array_equal(Lw, values) and gag_w == gag
 
 
 def test_pair_pass_raises_worker_and_caller_errors(monkeypatch):
-    # the exponents are checked where the tables are resolved, on the caller;
+    # the exponents are checked where the kernels are resolved, on the caller;
     # a table of the wrong shape fails inside the pass itself
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     grid = build_grid(1.0, 10)
     u, v = _pair(grid, 5)
-    W, h = weight_table(grid, 3.0, 0.5), grid.cell_measure
+    k, h = kernel(grid, 3.0, 0.5), grid.cell_measure
     W_bad = weight_table(build_grid(1.0, 4), 3.0, 0.5)
+    k_bad = Kernel(W_bad, h, 3.0)
     with pytest.raises(ValueError, match="broadcast") as info:
-        fracops.pair_values(u.values, W, v.values, W_bad, h, 3.0, 3.0, True)
+        fracops.pair_values(u.values, k, v.values, k_bad, True)
     assert "_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]
     with pytest.raises(ValueError, match="broadcast") as info:   # caller side: worker drained
-        fracops.pair_values(u.values, W_bad, v.values, W, h, 3.0, 3.0, True)
+        fracops.pair_values(u.values, k_bad, v.values, k, True)
     assert "_serve" not in [frame.name for frame in traceback.extract_tb(info.tb)]
     ru, rv = _pair_pass(u, 3.0, v, 2.5, 0.5, True)
-    assert _bits(ru) == _bits(fracops._field_pass(u, 3.0, 0.5, True, True))
-    assert _bits(rv) == _bits(fracops._field_pass(v, 2.5, 0.5, True, True))
+    assert _bits(ru) == _bits(fracops._dense_pass(u.values, kernel(grid, 3.0, 0.5), True, True))
+    assert _bits(rv) == _bits(fracops._dense_pass(v.values, kernel(grid, 2.5, 0.5), True, True))
 
 
 def test_worker_pass_runs_under_the_callers_errstate(monkeypatch):
@@ -382,13 +407,13 @@ def test_worker_pass_runs_under_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     grid = build_grid(1.0, 10)
     u, v = _pair(grid, 6)
-    W, h = weight_table(grid, 3.0, 0.5), grid.cell_measure
+    k = kernel(grid, 3.0, 0.5)
     huge = v.values * 1e200
     with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
-        fracops.pair_values(u.values, W, huge, W, h, 3.0, 3.0, True)
+        fracops.pair_values(u.values, k, huge, k, True)
     assert "_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]
     with np.errstate(over="ignore", invalid="ignore"):
-        (_, gag_u), (_, gag_v) = fracops.pair_values(u.values, W, huge, W, h, 3.0, 3.0, True)
+        (_, gag_u), (_, gag_v) = fracops.pair_values(u.values, k, huge, k, True)
     assert math.isfinite(gag_u) and gag_v == math.inf
 
 
@@ -418,8 +443,9 @@ def test_pair_pass_from_concurrent_callers(monkeypatch):
     # more callers than cores share the one worker; each gets its own results
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     pairs = [_pair(build_grid(1.0, 6 + k), k) for k in range(4)]
-    expected = [(_bits(fracops._field_pass(u, 3.0, 0.5, True, True)),
-                 _bits(fracops._field_pass(v, 2.5, 0.5, True, True))) for u, v in pairs]
+    expected = [(_bits(fracops._dense_pass(u.values, kernel(u.domain, 3.0, 0.5), True, True)),
+                 _bits(fracops._dense_pass(v.values, kernel(v.domain, 2.5, 0.5), True, True)))
+                for u, v in pairs]
     wrong = []
 
     def caller(k):
@@ -476,3 +502,28 @@ def test_pair_pass_builds_a_shared_weight_table_once(monkeypatch):
     variational.FiberingRay.from_pair(u, v, params, K, K)
     after = fracops._weight_table.cache_info()
     assert after.misses - before.misses == 1
+
+
+def test_kernel_holds_the_shared_weight_table():
+    grid = build_grid([1.5, 2.0], [3, 4])
+    k = kernel(grid, 2.5, 0.3)
+    assert k.W is weight_table(grid, 2.5, 0.3)
+    assert k.W is fracops._weight_table(grid, 2.0 + 0.3 * 2.5)
+    assert (k.hN, k.p) == (grid.cell_measure, 2.5)
+
+
+def test_flow_builds_one_weight_table_per_exponent():
+    # a flow resolves the kernels of u and v once: one table per exponent,
+    # shared with every later flow and kernel on the grid
+    grid = build_grid(1.0, 401)         # tables no other test asks for
+    params = validate_params(N=1, s=0.37, p=2.75, q=3.25, sigma=4.0, beta=0.0,
+                             mode="operations")
+    K = KirchhoffFn.constant(1.0)
+    before = fracops._weight_table.cache_info()
+    flow = dynamics.Flow.on(grid, params, K, K)
+    again = dynamics.Flow.on(grid, params, K, K)
+    after = fracops._weight_table.cache_info()
+    assert after.misses - before.misses == 2
+    assert flow.k_p.W is again.k_p.W is weight_table(grid, 2.75, 0.37)
+    assert flow.k_q.W is again.k_q.W is weight_table(grid, 3.25, 0.37)
+    assert (flow.k_p.p, flow.k_q.p) == (2.75, 3.25)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracwell import ParamError, critical_exponent, validate_params
 
@@ -60,3 +61,21 @@ def test_decay_envelope_helpers():
     p = validate_params(N=1, s=0.5, p=3.0, q=3.5, sigma=4.0, beta=0.0)
     assert p.poly_decay_exponent == pytest.approx(3.5 / 1.5)
     assert not p.exponential_regime  # q > 2/(beta+1) in the admissible window
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       p=st.floats(1.0, 20.0, exclude_min=True), dq=st.floats(1e-6, 20.0),
+       sigma=st.floats(1.0, 100.0, exclude_min=True), beta=st.floats(0.0, 10.0))
+def test_window_is_empty_in_two_dimensions(s, p, dq, sigma, beta):
+    """No exponent tuple is admissible for N = 2.
+
+    The window needs sigma > max(2, p(beta+1), q(beta+1)) >= q > p, and also
+    2 sigma <= p(1 + 2/N), which for N = 2 reads sigma <= p.  Both cannot
+    hold, so every 1 < p < q, sigma > 1 and beta >= 0 at any s leaves
+    ``well_regime`` False, and ``simulate``, ``classify`` and ``well-depth``
+    never run in 2-D.
+    """
+    q = p + dq
+    assert not validate_params(N=2, s=s, p=p, q=q, sigma=sigma, beta=beta,
+                               mode="operations").well_regime

@@ -21,14 +21,15 @@ from fracwell import (
 from fracwell.dynamics import (
     _DP_A, _DP_B4, _DP_B5, _GROWTH_FACTOR, RunOutcome, SimTrace,
 )
-from fracwell.fracops import _field_pass
+from fracwell.fracops import _dense_pass, kernel
 from fracwell.grids import discrete_norm
 from fracwell.variational import _RAY_SUMS, _masked_log_product
 
 
 def reference_rhs(u, v, params, K_p, K_q):
     p, q, sig, s = params.p, params.q, params.sigma, params.s
-    (Lu, gag_u), (Lv, gag_v) = _field_pass(u, p, s, True, True), _field_pass(v, q, s, True, True)
+    (Lu, gag_u), (Lv, gag_v) = (_dense_pass(u.values, kernel(u.domain, p, s), True, True),
+                                _dense_pass(v.values, kernel(v.domain, q, s), True, True))
     A, B = gag_u / p, gag_v / q
     uu, vv = u.values, v.values
     lg, _ = _masked_log_product(uu, vv)

@@ -193,6 +193,17 @@ class TestFibering:
         with pytest.raises(ValueError, match="positive"):
             ray.scan([-1.0, 1.0])
 
+    @pytest.mark.parametrize("eps", [
+        [math.nan], [0.5, math.nan, 2.0], [1.0, math.inf], [math.inf], [-math.inf, 1.0],
+        [0.0, 1.0], [2.0, 1.0], [1.0, 1.0],
+    ], ids=["nan", "inner-nan", "inf", "only-inf", "minus-inf", "zero", "decreasing", "repeated"])
+    def test_scan_grid_must_be_finite_positive_increasing(self, grid32, flagship_params,
+                                                          unit_kirchhoff, eps):
+        u = sample_field(grid32, "sine", 1.0)
+        ray = FiberingRay.from_pair(u, u, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        with pytest.raises(ValueError, match="finite, positive and strictly increasing"):
+            ray.scan(eps)
+
     def test_epsilon_star_contract(self, grid32, flagship_params, unit_kirchhoff):
         u, v = random_pair(grid32, 77)
         ray = FiberingRay.from_pair(u, v, flagship_params, unit_kirchhoff, unit_kirchhoff)
