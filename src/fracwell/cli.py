@@ -81,15 +81,17 @@ def _well_estimate(cfg, params, grid, Kp, Kq):
 
 
 def _classification(cfg, params, grid, Kp, Kq, u0, v0):
+    """The well estimate, the classification, and the initial pair's ray it
+    was read from, for the fibering artifacts."""
     est = _well_estimate(cfg, params, grid, Kp, Kq)
-    return est, variational.classify_initial_data(u0, v0, params, Kp, Kq, est.d,
-                                                  variant=cfg.psi_variant)
+    ray = variational.FiberingRay.from_pair(u0, v0, params, Kp, Kq)
+    return est, variational.classify_initial_data(u0, v0, ray, est.d, cfg.psi_variant), ray
 
 
 def cmd_classify(args) -> int:
     cfg = _load_config(args)
     params, grid, Kp, Kq, u0, v0 = _setup(cfg)
-    _, cls = _classification(cfg, params, grid, Kp, Kq, u0, v0)
+    _, cls, _ = _classification(cfg, params, grid, Kp, Kq, u0, v0)
     print(json.dumps(cls.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -97,7 +99,7 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     params, grid, Kp, Kq, u0, v0 = _setup(cfg)
-    est, cls = _classification(cfg, params, grid, Kp, Kq, u0, v0)
+    est, cls, ray = _classification(cfg, params, grid, Kp, Kq, u0, v0)
 
     controls = dynamics.IntegratorControls(**cfg.integrator)
     trace = dynamics.integrate(u0, v0, params, Kp, Kq, controls)
@@ -130,7 +132,10 @@ def cmd_simulate(args) -> int:
         ),
     }
     artifacts.write_json(run_dir / "summary.json", summary)
-    _emit_plots(run_dir, cfg, params, Kp, Kq, u0, v0, trace)
+    _emit_plots(run_dir, trace)
+    if u0.max_abs() > 0.0 or v0.max_abs() > 0.0:  # a zero pair has no fibering ray
+        lo, hi = 1e-2, 1e2
+        _fibering_artifacts(run_dir, cfg, ray, lo, hi, _fibering_scan(ray, lo, hi, 121))
 
     print(f"outcome: {trace.outcome.kind} at t={trace.outcome.t:.6g} "
           f"(verdict {cls.verdict}); artifacts in {run_dir}")
@@ -153,7 +158,7 @@ def _bound_comparisons(cls_json, trace, fit) -> dict:
     return out
 
 
-def _emit_plots(run_dir, cfg, params, Kp, Kq, u0, v0, trace):
+def _emit_plots(run_dir, trace):
     ts, phis, mass = trace["t"], trace["phi"], trace.mass
     plot_svg(run_dir / "phi_linear.svg", [Series(ts, phis, "phi")],
              title="energy vs time", xlabel="t", ylabel="phi")
@@ -161,15 +166,20 @@ def _emit_plots(run_dir, cfg, params, Kp, Kq, u0, v0, trace):
              title="energy vs time (log)", xlabel="t", ylabel="phi", ylog=True)
     plot_svg(run_dir / "mass.svg", [Series(ts, mass, "|u|^2+|v|^2")],
              title="squared-norm sum vs time", xlabel="t", ylabel="mass")
-    if u0.max_abs() > 0.0 or v0.max_abs() > 0.0:  # a zero pair has no fibering ray
-        _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0,
-                            eps_lo=1e-2, eps_hi=1e2, count=121)
 
 
-def _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0, eps_lo, eps_hi, count):
+def _fibering_scan(ray, eps_lo, eps_hi, count):
+    """The ray's scan on ``count`` log-spaced points of [eps_lo, eps_hi]; a
+    grid that rounds to floats that do not increase is a config error."""
+    try:
+        return ray.scan(np.exp(np.linspace(math.log(eps_lo), math.log(eps_hi), count)))
+    except ValueError as exc:   # the grid check is the scan's only ValueError
+        raise ConfigError(f"--eps-min {eps_lo}, --eps-max {eps_hi} and --points {count} "
+                          f"give a bad grid: {exc}") from exc
+
+
+def _fibering_artifacts(run_dir, cfg, ray, eps_lo, eps_hi, cols):
     """Write the scan of the initial pair's ray and its plot, with eps* marked."""
-    ray = variational.FiberingRay.from_pair(u0, v0, params, Kp, Kq)
-    cols = ray.scan(np.exp(np.linspace(math.log(eps_lo), math.log(eps_hi), count)))
     artifacts.write_fibering_csv(run_dir / "fibering.csv", cols)
     marks = []
     note = ""
@@ -200,9 +210,11 @@ def cmd_fibering(args) -> int:
     params, grid, Kp, Kq, u0, v0 = _setup(cfg, well=False)
     if u0.max_abs() == 0.0 and v0.max_abs() == 0.0:
         raise ValueError("fibering scan needs a nonzero pair")
+    ray = variational.FiberingRay.from_pair(u0, v0, params, Kp, Kq)
+    cols = _fibering_scan(ray, lo, hi, points)
     run_dir = cfg.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    _fibering_artifacts(run_dir, cfg, params, Kp, Kq, u0, v0, lo, hi, points)
+    _fibering_artifacts(run_dir, cfg, ray, lo, hi, cols)
     print(f"fibering scan with {points} points written to {run_dir}")
     return EXIT_OK
 

@@ -35,7 +35,21 @@ term in the tableau's order, so every value is bit-identical to the plain
 expression.  The pair is FSAL ("first same as last"): the seventh stage is
 evaluated at the fifth-order solution itself, so an accepted step's trace
 row takes its brackets from that stage's pair pass instead of running one
-more, and the stage becomes the next step's first.
+more, and the stage becomes the next step's first.  The brackets of stages
+2 to 6 are read only through K(A).  So when both coefficients are constant
+(``KirchhoffFn.is_constant``), those five stages run the operator alone and
+use the constant a, which is K(A) bit for bit at every finite A; only the
+first ``rhs`` and the seventh stage take the Gagliardo sums.
+
+One outcome differs from taking every stage's brackets, far beyond the
+default blow-up threshold (|d| near 1e100): a stage state whose |d|^p
+overflows while |d|^(p-1) does not.  Its bracket would be inf and K = a +
+0 * inf = NaN, ending the step as BlowUp/norm_threshold.  With constant
+coefficients that stage stays finite, and the step is judged on its
+fifth-order solution and error estimate like any other: an overshooting
+trial step is rejected and retried.  The seventh stage still takes its
+brackets, so an overflow in the bracket of the fifth-order solution still
+ends the step as BlowUp/norm_threshold.
 """
 
 from __future__ import annotations
@@ -56,39 +70,51 @@ from .variational import _RAY_SUMS, FiberingRay, _coupling_rows, _masked_log_pro
 
 
 class Flow(NamedTuple):
-    """The semi-discrete flow on one grid, with the kernels of u and v resolved once."""
+    """The semi-discrete flow on one grid, with the kernels of u and v and
+    whether both coefficients are constant resolved once."""
 
     params: ModelParams
     K_p: KirchhoffFn
     K_q: KirchhoffFn
     k_p: Kernel
     k_q: Kernel
+    constant: bool
 
     @classmethod
     def on(cls, domain: GridDomain, params: ModelParams, K_p: KirchhoffFn,
            K_q: KirchhoffFn) -> "Flow":
         p, q, s = params.p, params.q, params.s
-        return cls(params, K_p, K_q, kernel(domain, p, s), kernel(domain, q, s))
+        return cls(params, K_p, K_q, kernel(domain, p, s), kernel(domain, q, s),
+                   K_p.is_constant and K_q.is_constant)
 
 
-def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None
-        ) -> tuple[np.ndarray, float, float]:
+def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None, brackets: bool = True
+        ) -> tuple[np.ndarray, float | None, float | None]:
     """Right-hand side of the semi-discrete gradient flow at the stacked
     state y = [u, v].
 
     Writes [u_t, v_t] into ``out`` (a new array when None) and returns it
-    with the brackets A, B of u and v.  The reaction at a node vanishes
+    with the brackets A, B of u and v.  With ``brackets`` off on a flow whose
+    coefficients are both constant, the pass skips the Gagliardo sums, each
+    coefficient is its constant a, which is K(A) bit for bit at any finite
+    A, and A, B are None.  The reaction at a node vanishes
     whenever u_i v_i = 0 (continuous extension of t^sigma log t).  The
     diffusion carries the 1/p (resp. 1/q) gradient scaling that makes the
     energy chain with the consistent Nehari functional exact; see the module
     docstring.
     """
-    params, K_p, K_q, k_p, k_q = flow
+    params, K_p, K_q, k_p, k_q, constant = flow
     p, q, sig = params.p, params.q, params.sigma
     n = len(y) // 2
     uu, vv = y[:n], y[n:]
-    (Lu, gag_u), (Lv, gag_v) = pair_values(uu, k_p, vv, k_q, True)
-    A, B = gag_u / p, gag_v / q
+    seminorm = brackets or not constant
+    (Lu, gag_u), (Lv, gag_v) = pair_values(uu, k_p, vv, k_q, True, seminorm)
+    if seminorm:
+        A, B = gag_u / p, gag_v / q
+        cp, cq = k_eval(K_p, A), k_eval(K_q, B)
+    else:
+        A = B = None
+        cp, cq = K_p.a, K_q.a
     lg, _ = _masked_log_product(uu, vv)
     ay = np.abs(y)
     partner = np.concatenate((ay[n:], ay[:n]))
@@ -96,8 +122,8 @@ def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None
     reaction = partner ** sig * np.sign(y) * ay ** (sig - 1.0) * np.concatenate((lg, lg))
     if out is None:
         out = np.empty_like(y)
-    np.multiply(Lu, -(k_eval(K_p, A) / p), out=out[:n])
-    np.multiply(Lv, -(k_eval(K_q, B) / q), out=out[n:])
+    np.multiply(Lu, -(cp / p), out=out[:n])
+    np.multiply(Lv, -(cq / q), out=out[n:])
     out += reaction
     return out, A, B
 
@@ -265,7 +291,8 @@ def integrate(
         # an overflow inside the step is caught below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, 7):
-                _, A, B = rhs(combine(_STAGES[i], dt, ys), flow, ks[i])
+                # only the last stage's brackets are read: they are y5's
+                _, A, B = rhs(combine(_STAGES[i], dt, ys), flow, ks[i], i == 6)
             combine(_FIFTH, dt, y5)
             combine(_FOURTH, dt, y4)
             err = float(np.max(np.abs(y5 - y4)))

@@ -23,7 +23,9 @@ d_ij = u_i - u_j once, in a reused per-thread workspace, and returns both the
 operator and the Gagliardo sum; through ``pair_values``, which takes nodal
 values and each field's ``Kernel`` (weight table, h^N and exponent), resolved
 once by the caller through ``kernel``, ``dynamics.rhs`` gets one pass per
-field per stage.  ``apply_operator``, ``gagliardo_sum`` and
+field per stage, with the Gagliardo sum switched off where the stage's
+brackets are not read (constant Kirchhoff coefficients, five stages of
+six).  ``apply_operator``, ``gagliardo_sum`` and
 ``bracket`` run the same pass with one of its two outputs switched off.
 The well-depth directions and every fibering ray pass stacks of fields, one
 difference table each, through ``pair_values`` with the operator off.
@@ -228,22 +230,24 @@ if hasattr(os, "register_at_fork"):
 
 
 def pair_values(
-    uu: np.ndarray, ku: Kernel, vv: np.ndarray, kv: Kernel, operator: bool
-) -> tuple[tuple[np.ndarray | None, float | np.ndarray],
-           tuple[np.ndarray | None, float | np.ndarray]]:
+    uu: np.ndarray, ku: Kernel, vv: np.ndarray, kv: Kernel, operator: bool,
+    seminorm: bool = True,
+) -> tuple[tuple[np.ndarray | None, float | np.ndarray | None],
+           tuple[np.ndarray | None, float | np.ndarray | None]]:
     """The dense passes of u (kernel ku) and v (kernel kv) on nodal values,
     side by side; uu and vv may be stacks of fields of any (equal) length.
 
-    Returns ``(_dense_pass(uu, ku, operator, True),
-    _dense_pass(vv, kv, operator, True))``, bit for bit: per field,
-    the operator values (None unless ``operator``) and the Gagliardo sum.
+    Returns ``(_dense_pass(uu, ku, operator, seminorm),
+    _dense_pass(vv, kv, operator, seminorm))``, bit for bit: per field,
+    the operator values (None unless ``operator``) and the Gagliardo sum
+    (None unless ``seminorm``).
     From ``_THREADED_MIN_NODES`` nodes on, v's pass, its whole stack, runs on
     the worker thread while the caller runs u's, under the caller's
     ``np.errstate``, which a thread does not inherit; an exception raised
     there is raised here.
     """
     global _worker
-    args_u, args_v = (uu, ku, operator, True), (vv, kv, operator, True)
+    args_u, args_v = (uu, ku, operator, seminorm), (vv, kv, operator, seminorm)
     if uu.shape[-1] < _THREADED_MIN_NODES:
         return _dense_pass(*args_u), _dense_pass(*args_v)
     with _worker_lock:      # one caller at a time: results come back in order

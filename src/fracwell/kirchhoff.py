@@ -86,6 +86,12 @@ class KirchhoffFn:
     def from_table(cls, z: Iterable[float], k: Iterable[float], beta: float) -> "KirchhoffFn":
         return cls(kind="table", beta=beta, table_z=tuple(z), table_k=tuple(k))
 
+    @property
+    def is_constant(self) -> bool:
+        """True when K(z) is a, bit for bit, at every finite z >= 0: affine_power
+        with b = 0 and 0 <= c <= 1, so that 0 * z^c never meets an overflow."""
+        return self.kind == "affine_power" and self.b == 0 and 0 <= self.c <= 1
+
     def __call__(self, z):
         return k_eval(self, z)
 

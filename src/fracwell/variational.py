@@ -32,7 +32,8 @@ log per chunk.  Every sum runs over one row, so each direction's fields and
 sums are bit-identical to those of a lone direction; a lone pair's fibering
 ray is the same code on a stack of one.  ``FiberingRay.from_pair`` is the one
 route from a pair to its six sums: the classification reads the coupling
-mass behind its threshold d* from the ray it builds for phi0 and psi0.
+mass behind its threshold d* from the ray that gives phi0 and psi0, and
+``simulate`` scans the same ray for its fibering artifacts.
 
 The projection runs on arrays: all sampled rays are stacked into one batch
 ``FiberingRay`` and expanded and bisected together, each ray under the same
@@ -483,18 +484,18 @@ class Classification:
 def classify_initial_data(
     u0: GridField,
     v0: GridField,
-    params: ModelParams,
-    K_p: KirchhoffFn,
-    K_q: KirchhoffFn,
+    ray: FiberingRay,
     d: float,
     variant: str = "consistent",
 ) -> Classification:
     """Classify initial data against the threshold d_star derived from the
     (estimated) well depth d.
 
-    d_star = (d - C) * (1/(q(b+1)) - 1/sigma) / (1/p - 1/sigma) with C the
-    integral of |u0|^sigma |v0|^sigma over sigma, the ``coupling_mass`` of
-    the one fibering ray the classification builds.  The threshold depends
+    ``ray`` is the pair's ``FiberingRay.from_pair(u0, v0, params, K_p, K_q)``,
+    built once by the caller, who may read it again (``simulate`` scans it
+    for the fibering artifacts).  d_star = (d - C) * (1/(q(b+1)) - 1/sigma)
+    / (1/p - 1/sigma) with C the integral of |u0|^sigma |v0|^sigma over
+    sigma, the ray's ``coupling_mass``.  The threshold depends
     on the initial pair through C and may be non-positive; classification
     then reports Indeterminate.
 
@@ -504,8 +505,8 @@ def classify_initial_data(
     """
     if d <= 0:
         raise ValueError(f"well depth estimate must be positive, got {d}")
+    params = ray.params
     q, p, sig, beta = params.q, params.p, params.sigma, params.beta
-    ray = FiberingRay.from_pair(u0, v0, params, K_p, K_q)
     C = ray.coupling_mass / sig
     ratio = (1.0 / (q * (beta + 1.0)) - 1.0 / sig) / (1.0 / p - 1.0 / sig)
     d_star = (d - C) * ratio

@@ -207,7 +207,7 @@ def test_criterion_6_blowup_bound(params, K):
     checked = 0
     for preset, amp in configs:
         u0 = sample_field(grid, preset, amp)
-        cls = classify_initial_data(u0, u0, params, K, K, d)
+        cls = classify_initial_data(u0, u0, FiberingRay.from_pair(u0, u0, params, K, K), d)
         if cls.verdict != "BlowUp":
             failures.append(f"{preset}@{amp}: verdict {cls.verdict}")
             continue

@@ -282,6 +282,21 @@ class TestSimulateCommand:
         assert pair["t_detect"] is not None and pair["t_max_bound"] is not None
         assert pair["t_detect"] <= pair["t_max_bound"]
 
+    def test_one_ray_serves_classification_and_fibering(self, tmp_path, capsys, monkeypatch):
+        # the initial pair's ray gives d*, phi0 and psi0, and is then scanned
+        pairs = []
+        real = variational._ray_rows
+        monkeypatch.setattr(variational, "_ray_rows",
+                            lambda U, V, *a: pairs.append((U, V)) or real(U, V, *a))
+        path = make_config(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 0
+        cfg = ExperimentConfig.load(path)
+        u0, v0 = cfg.build_initial_pair(cfg.build_grid())
+        initial = [1 for U, V in pairs if len(U) == 1 and np.array_equal(U[0], u0.values)
+                   and np.array_equal(V[0], v0.values)]
+        assert len(initial) == 1 and len(pairs) > 1      # the well depth's chunks too
+        assert "eps*" in (tmp_path / "out" / "run-seed3" / "fibering.svg").read_text()
+
     def test_seed_and_out_overrides(self, tmp_path, capsys):
         path = make_config(tmp_path)
         assert main(["simulate", "--config", str(path), "--seed", "11",
@@ -387,8 +402,10 @@ class TestFiberingCommand:
         (["--eps-min", "0"], "--eps-min"), (["--eps-min", "-1"], "--eps-min"),
         (["--eps-min", "10", "--eps-max", "1"], "--eps-max"),
         (["--eps-min", "nan"], "--eps-min"), (["--eps-max", "inf"], "--eps-max"),
+        # five log-spaced points between two adjacent floats round to repeats
+        (["--eps-min", "1", "--eps-max", "1.0000000000000002", "--points", "5"], "--points"),
     ], ids=["points-0", "points-negative", "eps-min-0", "eps-min-negative", "eps-min-above-max",
-            "eps-min-nan", "eps-max-inf"])
+            "eps-min-nan", "eps-max-inf", "grid-not-increasing"])
     def test_bad_scan_flags_fail_by_name_before_the_run_directory(self, tmp_path, capsys,
                                                                   flags, name):
         out = tmp_path / "out"

@@ -9,9 +9,9 @@ import pytest
 
 from fracwell import (
     ExperimentConfig, FiberingRay, Flow, GridField, IntegratorControls, KirchhoffFn,
-    apply_operator, build_grid, concavity_diagnostic, decay_fit, discrete_norm,
+    apply_operator, build_grid, concavity_diagnostic, decay_fit, discrete_norm, dynamics,
     energy_identity_residual, fit_decay, fracops, inner, integrate, k_eval, rhs,
-    sample_field, tail_decay_check,
+    sample_field, tail_decay_check, validate_params,
 )
 from fracwell.dynamics import RunOutcome
 from fracwell.fracops import bracket
@@ -66,6 +66,23 @@ class TestRightHandSide:
                   * apply_operator(v, prm.q, prm.s).values + f2)
         assert np.array_equal(du.values, want_u)
         assert np.array_equal(dv.values, want_v)
+
+    @pytest.mark.parametrize("K_p, K_q, skips", [
+        (KirchhoffFn.constant(2.5), KirchhoffFn.constant(0.5), True),
+        (KirchhoffFn.constant(2.5), KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25), False),
+        (KirchhoffFn.log1p(beta=1.0), KirchhoffFn.constant(), False),
+    ], ids=["both-constant", "p-constant", "q-constant"])
+    def test_brackets_off_changes_no_bit(self, grid32, flagship_params, K_p, K_q, skips):
+        # with both coefficients constant the brackets are skipped, and K.a
+        # stands for K(A); otherwise they are needed for K(A) and returned
+        u, v = random_pair(grid32, 5)
+        y = np.concatenate([u.values, v.values])
+        flow = Flow.on(grid32, flagship_params, K_p, K_q)
+        assert flow.constant is skips
+        k_on, A, B = rhs(y, flow)
+        k_off, A_off, B_off = rhs(y, flow, None, False)
+        assert k_off.tobytes() == k_on.tobytes()
+        assert (A_off, B_off) == ((None, None) if skips else (A, B))
 
     def test_energy_chain(self, grid32, flagship_params, unit_kirchhoff):
         for seed in range(5):
@@ -141,6 +158,79 @@ class TestIntegrate:
             trace = integrate(u0, v0, params, Kp, Kq, IntegratorControls(**cfg.integrator))
         assert trace.outcome == RunOutcome("BlowUp", 0.0, "norm_threshold")
         assert len(trace) == 1 and np.isfinite(trace["phi"][0])
+
+    @pytest.mark.parametrize("K_p, K_q, inner", [
+        (KirchhoffFn.constant(2.5), KirchhoffFn.constant(), False),
+        (KirchhoffFn.constant(2.5), KirchhoffFn.log1p(beta=1.0), True),
+    ], ids=["both-constant", "q-log1p"])
+    def test_seminorm_is_taken_where_its_brackets_are_read(self, monkeypatch, grid32,
+                                                          flagship_params, K_p, K_q, inner):
+        # at t = 0 and at the seventh (FSAL) stage of every attempted step,
+        # and at stages 2 to 6 only where a coefficient reads its bracket
+        flags = []
+        real = dynamics.pair_values
+        monkeypatch.setattr(dynamics, "pair_values", lambda *a: flags.append(a[5]) or real(*a))
+        u0 = sample_field(grid32, "sine", 0.5)
+        trace = integrate(u0, u0, flagship_params, K_p, K_q, IntegratorControls(t_end=0.5))
+        steps = (len(flags) - 1) // 6
+        assert steps >= len(trace) - 1 > 10
+        assert flags == [True] + ([inner] * 5 + [True]) * steps
+
+    @pytest.mark.parametrize("z, kept", [(1.25, "CompletedHorizon"), (1.5, "BlowUp")],
+                             ids=["inner-stage", "seventh-stage"])
+    def test_bracket_overflow_in_a_stage(self, monkeypatch, z, kept):
+        """A stage state whose |d|^p overflows while |d|^(p-1) does not.
+
+        On two nodes with v = 0 the flow is the ODE d' = -c d|d| for
+        d = u_1 - u_2, with c = 4 h W_12 / p (p = 3; sigma = 2 keeps the
+        reaction's powers finite).  d starts at 0.6 of where |d|^p W_12
+        overflows, and the first step is dt = z / (c d).  At z = 1.25 the
+        sixth stage overshoots to 1.9 d, past the overflow, while the
+        fifth-order solution y5 falls to 0.37 d; at z = 1.5, y5 overshoots to
+        2.6 d as well.  The blow-up threshold is far above 1e8.
+
+        Taking every stage's bracket, as for non-constant coefficients, gives
+        K = a + 0 * inf = NaN at the overflowing stage, and both steps end as
+        BlowUp/norm_threshold at t = 0.  With constant coefficients the inner
+        stages take no bracket: at z = 1.25 the step stays finite, is
+        rejected for its error and retried, and the run completes; at z = 1.5
+        the seventh stage, which still takes y5's brackets, catches the
+        overflow in the same step, with the same outcome as before.
+        """
+        params = validate_params(N=1, s=0.5, p=3.0, q=3.5, sigma=2.0, mode="operations")
+        grid = build_grid(1.0, 2)
+        W = float(fracops.weight_table(grid, 3.0, 0.5)[0, 1])
+        c = 4.0 * grid.cell_measure * W / 3.0
+        d = 0.6 * (np.finfo(float).max / W) ** (1.0 / 3.0)
+        dt = z / (c * d)
+        u0, v0 = GridField(grid, np.array([d / 2, -d / 2])), GridField(grid, np.zeros(2))
+        K = KirchhoffFn.constant()
+        controls = IntegratorControls(t_end=100.0 * dt, dt_init=dt, dt_min=1e-300,
+                                      blowup_threshold=1e300)
+        stages = []
+        real = dynamics.rhs
+        monkeypatch.setattr(dynamics, "rhs",
+                            lambda y, *a: stages.append((y[0] - y[1], *a[2:])) or real(y, *a))
+
+        def run():
+            stages.clear()
+            with np.errstate(over="ignore", invalid="ignore"):  # phi overflows on such rows
+                return integrate(u0, v0, params, K, K, controls)
+
+        skip = run()
+        first_step = [(abs(diff), brackets) for diff, brackets in stages[1:7]]
+        with np.errstate(over="ignore"):
+            overflows = [bool(x ** 3.0 * W == math.inf) for x, _ in first_step]
+            assert all(math.isfinite(x ** 2.0 * W) for x, _ in first_step)
+        assert [b for _, b in first_step] == [False] * 5 + [True]
+        assert overflows[5] is (z == 1.5) and any(overflows[:5])
+        if kept == "BlowUp":
+            assert skip.outcome == RunOutcome("BlowUp", 0.0, "norm_threshold")
+        else:
+            assert skip.outcome.kind == kept and skip.outcome.t == pytest.approx(controls.t_end)
+            assert len(skip) > 10
+        monkeypatch.setattr(KirchhoffFn, "is_constant", False)
+        assert run().outcome == RunOutcome("BlowUp", 0.0, "norm_threshold")
 
     def test_blowup_detected_with_growth(self, grid32, flagship_params, unit_kirchhoff):
         u0 = sample_field(grid32, "sine", 2.5)
@@ -315,8 +405,8 @@ class TestConcavity:
         est = estimate_well_depth(grid32, flagship_params, unit_kirchhoff,
                                   unit_kirchhoff, directions=40, seed=2)
         u0 = sample_field(grid32, "sine", 2.5)
-        d_star = classify_initial_data(u0, u0, flagship_params, unit_kirchhoff,
-                                       unit_kirchhoff, est.d).d_star
+        ray = FiberingRay.from_pair(u0, u0, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        d_star = classify_initial_data(u0, u0, ray, est.d).d_star
         phi0 = blowup_trace["phi"][0]
         assert d_star > phi0
         a = math.sqrt(d_star - phi0)

@@ -285,13 +285,20 @@ def _pair(grid, seed):
             GridField(grid, rng.normal(size=grid.node_count)))
 
 
-def _pair_pass(u, p, v, q, s, operator):
+def _pair_pass(u, p, v, q, s, operator, seminorm=True):
     """``pair_values`` of two fields on their kernels."""
     return fracops.pair_values(u.values, kernel(u.domain, p, s), v.values,
-                               kernel(v.domain, q, s), operator)
+                               kernel(v.domain, q, s), operator, seminorm)
 
 
-@pytest.mark.parametrize("operator", [True, False])
+# (operator, seminorm): both, the sums alone, and the operator alone, whose
+# values must not depend on whether the sums were taken
+PASS_OUTPUTS = pytest.mark.parametrize("operator, seminorm",
+                                       [(True, True), (False, True), (True, False)],
+                                       ids=["True", "False", "operator-only"])
+
+
+@PASS_OUTPUTS
 @pytest.mark.parametrize("grid, threshold, threaded", [
     (build_grid(1.0, 8), 8, True),
     (build_grid([1.0, 2.0], [2, 4]), 8, True),
@@ -299,10 +306,16 @@ def _pair_pass(u, p, v, q, s, operator):
     (build_grid([1.0, 1.0], [16, 16]), 257, False),
 ], ids=["1d-M8-forced", "2d-M8-forced", "1d-M256-serial", "2d-M256-serial"])
 def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold,
-                                                     threaded, operator):
+                                                     threaded, operator, seminorm):
     u, v = _pair(grid, grid.node_count)
-    expected = (fracops._dense_pass(u.values, kernel(u.domain, 3.0, 0.4), operator, True),
-                fracops._dense_pass(v.values, kernel(v.domain, 3.5, 0.4), operator, True))
+    ku, kv = kernel(u.domain, 3.0, 0.4), kernel(v.domain, 3.5, 0.4)
+    expected = (fracops._dense_pass(u.values, ku, operator, seminorm),
+                fracops._dense_pass(v.values, kv, operator, seminorm))
+    for (values, gag), w, k in zip(expected, (u, v), (ku, kv)):
+        assert (gag is None) != seminorm
+        if operator:
+            Lw, _ = fracops._dense_pass(w.values, k, True, True)
+            assert values.tobytes() == Lw.tobytes()
     ran_on = []
     serial_pass = fracops._dense_pass
 
@@ -312,29 +325,33 @@ def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold
 
     monkeypatch.setattr(fracops, "_dense_pass", recording_pass)
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
-    ru, rv = _pair_pass(u, 3.0, v, 3.5, 0.4, operator)
+    ru, rv = _pair_pass(u, 3.0, v, 3.5, 0.4, operator, seminorm)
     assert (_bits(ru), _bits(rv)) == (_bits(expected[0]), _bits(expected[1]))
     threads = dict(ran_on)
     assert threads[True] == threading.get_ident()                 # u on the caller
     assert (threads[False] != threading.get_ident()) == threaded  # v on the worker
 
 
-@pytest.mark.parametrize("operator", [True, False])
+@PASS_OUTPUTS
 @pytest.mark.parametrize("threshold", [0, math.inf], ids=["worker", "serial"])
 @pytest.mark.parametrize("m", [48, 100])
-def test_pair_pass_walks_a_stack_in_pieces(monkeypatch, m, threshold, operator):
+def test_pair_pass_walks_a_stack_in_pieces(monkeypatch, m, threshold, operator, seminorm):
     # two full pieces and a one-row tail: 15 rows at M=48, 3 at M=100
     step = max(1, fracops._STACK_BYTES // (8 * m * m))
     grid = build_grid(1.0, m)
     U, V = np.random.default_rng(m).normal(size=(2, 2 * step + 1, m))
     k_p, k_q = kernel(grid, 3.0, 0.4), kernel(grid, 3.5, 0.4)
     monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
-    got = fracops.pair_values(U, k_p, V, k_q, operator)
+    got = fracops.pair_values(U, k_p, V, k_q, operator, seminorm)
     for (values, gag), rows, k in zip(got, (U, V), (k_p, k_q)):
-        assert gag.shape == (len(rows),) and (values is None) != operator
+        assert (values is None) != operator and (gag is None) != seminorm
         for i, row in enumerate(rows):
             lone = fracops._dense_pass(row, k, operator, True)
-            assert _bits((None if values is None else values[i], gag[i])) == _bits(lone), i
+            if seminorm:
+                assert gag.shape == (len(rows),)
+                assert _bits((None if values is None else values[i], gag[i])) == _bits(lone), i
+            else:   # the operator alone equals the one taken with the sums
+                assert values[i].tobytes() == lone[0].tobytes(), i
 
 
 def test_threaded_stack_is_one_job_on_the_worker(monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracwell import (
     KirchhoffFn, check_hypotheses, k_antideriv, k_eval, scaling_suite,
@@ -130,6 +130,44 @@ def test_table_antiderivative_property(K, picks):
         step = 1e-6 * (1.0 + x)
         quotient = (k_antideriv(K, x + step) - hx) / step
         assert abs(quotient - k_eval(K, x)) <= slope * step + 1e-14 * (1.0 + hx) / step
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True),
+       c=st.just(1.0) | st.floats(0.0, 1.0),
+       A=st.floats(0.0, allow_infinity=False, allow_subnormal=True))
+@example(a=2.5, c=1.0, A=0.0)
+@example(a=2.5, c=1.0, A=5e-324)
+@example(a=1.0, c=1.0, A=1e300)
+@example(a=5e-324, c=0.0, A=1.7976931348623157e308)
+def test_constant_coefficient_is_its_constant_bit_for_bit(a, c, A):
+    # dynamics.rhs uses K.a in place of K(A) at the stages whose brackets it skips
+    K = KirchhoffFn.affine_power(a, 0.0, c)
+    assert K.is_constant and (c != 1.0 or K == KirchhoffFn.constant(a))
+    assert np.float64(k_eval(K, A)).tobytes() == np.float64(a).tobytes()
+
+
+@pytest.mark.parametrize("K, constant", [
+    (KirchhoffFn.constant(2.5), True),
+    (KirchhoffFn.affine_power(1.0, 0.0, 0.5), True),
+    (KirchhoffFn.affine_power(1.0, 0.0, 0.0), True),
+    (KirchhoffFn.affine_power(1.0, 0.0, 2.0), False),
+    (KirchhoffFn.affine_power(1.0, 0.0, -1.0), False),
+    (KirchhoffFn.affine_power(1.0, 1e-300, 1.0), False),
+    (KirchhoffFn.log1p(), False),
+    (KirchhoffFn.from_table([0.0, 1.0], [1.0, 1.0], beta=0.0), False),
+], ids=["constant", "c-half", "c-zero", "c-two", "c-negative", "b-positive", "log1p", "table"])
+def test_is_constant_is_derived_and_read_only(K, constant):
+    assert K.is_constant is constant
+    with pytest.raises(AttributeError):
+        K.is_constant = not constant
+
+
+def test_b_zero_outside_unit_c_is_not_constant_at_every_bracket():
+    # 0 * z^c is NaN where z^c overflows (c > 1) or is infinite at z = 0 (c < 0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        assert math.isnan(k_eval(KirchhoffFn.affine_power(1.0, 0.0, 2.0), 1e200))
+        assert math.isnan(k_eval(KirchhoffFn.affine_power(1.0, 0.0, -1.0), 0.0))
 
 
 class TestHypotheses:

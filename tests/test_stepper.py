@@ -137,6 +137,9 @@ CASES = {
     "kirchhoff_decay": (dict(FLAGSHIP, sigma=4.4, beta=0.25), POWER, ("sine", 0.2),
                         ("bump", 0.2), 48, 10.0, 1e-8),
     "blowup": (FLAGSHIP, UNIT, ("sine", 2.5), ("sine", 2.5), 48, 5.0, 1e-7),
+    # a constant coefficient other than 1, whose a the inner stages use for K(A)
+    "constant-2.5": (FLAGSHIP, KirchhoffFn.constant(2.5), ("sine", 0.5), ("bump", 0.7), 48,
+                     10.0, 1e-8),
     "decay-M128": (FLAGSHIP, UNIT, ("sine", 0.5), ("sine", 0.5), 128, 0.2, 1e-8),
 }
 
@@ -162,7 +165,7 @@ def assert_same_run(want, got, ref_calls, new_calls):
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-@pytest.mark.parametrize("name", ["decay", "kirchhoff_decay", "blowup"])
+@pytest.mark.parametrize("name", ["decay", "kirchhoff_decay", "blowup", "constant-2.5"])
 def test_loop_equals_reference_stepper(name, monkeypatch):
     want, got, ref_calls, new_calls = both_runs(name, monkeypatch)
     assert_same_run(want, got, ref_calls, new_calls)

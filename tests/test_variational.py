@@ -316,15 +316,17 @@ class TestThresholds:
     def test_d_star_exact_fraction(self, flagship_params, unit_kirchhoff):
         g = build_grid(1.0, 8)
         z = GridField(g, np.zeros(8))
-        cls = classify_initial_data(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff, 1.0)
+        ray = FiberingRay.from_pair(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        cls = classify_initial_data(z, z, ray, 1.0)
         assert cls.d_star == pytest.approx(3.0 / 7.0)
 
     def test_d_star_equals_zero_when_d_equals_coupling(self, grid32, flagship_params,
                                                         unit_kirchhoff):
         u = sample_field(grid32, "sine", 1.0)
         K = unit_kirchhoff
-        C = FiberingRay.from_pair(u, u, flagship_params, K, K).coupling_mass / 4.0
-        cls = classify_initial_data(u, u, flagship_params, K, K, C)
+        ray = FiberingRay.from_pair(u, u, flagship_params, K, K)
+        C = ray.coupling_mass / 4.0
+        cls = classify_initial_data(u, u, ray, C)
         assert cls.d_star == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("name", ["blowup", "decay", "kirchhoff_decay"])
@@ -337,7 +339,7 @@ class TestThresholds:
         ratio = (1.0 / (q * (beta + 1.0)) - 1.0 / sig) / (1.0 / p - 1.0 / sig)
         ray = FiberingRay.from_pair(u0, v0, params, Kp, Kq)
         for d in (0.934, 2.5):
-            cls = classify_initial_data(u0, v0, params, Kp, Kq, d)
+            cls = classify_initial_data(u0, v0, ray, d)
             want = (d - ray.coupling_mass / sig) * ratio
             assert np.float64(cls.d_star).tobytes() == np.float64(want).tobytes()
             assert cls.d == d
@@ -346,8 +348,8 @@ class TestThresholds:
         u = sample_field(grid32, "sine", 1.0)
         for d in (0.0, -1.0):
             with pytest.raises(ValueError, match="must be positive"):
-                classify_initial_data(u, u, flagship_params, unit_kirchhoff,
-                                      unit_kirchhoff, d)
+                classify_initial_data(u, u, FiberingRay.from_pair(
+                    u, u, flagship_params, unit_kirchhoff, unit_kirchhoff), d)
 
     def test_bound_worked_example(self):
         g = build_grid(1.0, 4)
@@ -380,7 +382,7 @@ def well(grid48, flagship_params, unit_kirchhoff):
 class TestClassification:
     def _classify(self, amp, grid, params, K, d):
         u = sample_field(grid, "sine", amp)
-        return classify_initial_data(u, u, params, K, K, d)
+        return classify_initial_data(u, u, FiberingRay.from_pair(u, u, params, K, K), d)
 
     def test_small_amplitude_decays(self, grid48, flagship_params, unit_kirchhoff, well):
         cls = self._classify(0.4, grid48, flagship_params, unit_kirchhoff, well.d)
@@ -404,8 +406,8 @@ class TestClassification:
 
     def test_origin_excluded(self, grid48, flagship_params, unit_kirchhoff):
         z = GridField(grid48, np.zeros(48))
-        cls = classify_initial_data(z, z, flagship_params, unit_kirchhoff,
-                                    unit_kirchhoff, d=0.4)
+        ray = FiberingRay.from_pair(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff)
+        cls = classify_initial_data(z, z, ray, d=0.4)
         assert cls.verdict == "Indeterminate"
         assert "origin" in cls.note
 
