@@ -38,18 +38,15 @@ row takes its brackets from that stage's pair pass instead of running one
 more, and the stage becomes the next step's first.  The brackets of stages
 2 to 6 are read only through K(A).  So when both coefficients are constant
 (``KirchhoffFn.is_constant``), those five stages run the operator alone and
-use the constant a, which is K(A) bit for bit at every finite A; only the
-first ``rhs`` and the seventh stage take the Gagliardo sums.
+use the constant a, which is K(A) bit for bit at every A; only the first
+``rhs`` and the seventh stage take the Gagliardo sums.
 
-One outcome differs from taking every stage's brackets, far beyond the
-default blow-up threshold (|d| near 1e100): a stage state whose |d|^p
-overflows while |d|^(p-1) does not.  Its bracket would be inf and K = a +
-0 * inf = NaN, ending the step as BlowUp/norm_threshold.  With constant
-coefficients that stage stays finite, and the step is judged on its
-fifth-order solution and error estimate like any other: an overshooting
-trial step is rejected and retried.  The seventh stage still takes its
-brackets, so an overflow in the bracket of the fifth-order solution still
-ends the step as BlowUp/norm_threshold.
+That holds where a stage state's |d|^p overflows while |d|^(p-1) does not
+(far beyond the default blow-up threshold, |d| near 1e100): its bracket is
+inf, and K(inf) = a, since a constant coefficient never forms 0 * inf.  Such
+a stage stays finite with or without its bracket, and the step is judged on
+its fifth-order solution and error estimate like any other: an overshooting
+trial step is rejected and retried.
 """
 
 from __future__ import annotations
@@ -96,8 +93,8 @@ def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None, brackets: bool
     Writes [u_t, v_t] into ``out`` (a new array when None) and returns it
     with the brackets A, B of u and v.  With ``brackets`` off on a flow whose
     coefficients are both constant, the pass skips the Gagliardo sums, each
-    coefficient is its constant a, which is K(A) bit for bit at any finite
-    A, and A, B are None.  The reaction at a node vanishes
+    coefficient is its constant a, which is K(A) bit for bit at any A, and
+    A, B are None.  The reaction at a node vanishes
     whenever u_i v_i = 0 (continuous extension of t^sigma log t).  The
     diffusion carries the 1/p (resp. 1/q) gradient scaling that makes the
     energy chain with the consistent Nehari functional exact; see the module

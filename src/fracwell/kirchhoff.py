@@ -88,9 +88,9 @@ class KirchhoffFn:
 
     @property
     def is_constant(self) -> bool:
-        """True when K(z) is a, bit for bit, at every finite z >= 0: affine_power
-        with b = 0 and 0 <= c <= 1, so that 0 * z^c never meets an overflow."""
-        return self.kind == "affine_power" and self.b == 0 and 0 <= self.c <= 1
+        """True when K(z) is a, bit for bit, at every z >= 0: affine_power with
+        b = 0, whose values never form 0 * z^c (see ``_k_values``)."""
+        return self.kind == "affine_power" and self.b == 0
 
     def __call__(self, z):
         return k_eval(self, z)
@@ -127,7 +127,11 @@ def _evaluate(values, K: KirchhoffFn, z, what: str):
 
 
 def _k_values(K: KirchhoffFn, z):
+    # With b = 0, a + 0 * z^c would be NaN where z^c overflows (c > 1) or is
+    # infinite at z = 0 (c < 0); where it is finite it equals a bit for bit.
     if K.kind == "affine_power":
+        if K.b == 0:
+            return np.full_like(z, K.a)
         return K.a + K.b * np.power(z, K.c)
     if K.kind == "log1p":
         return np.log1p(z)
@@ -136,6 +140,8 @@ def _k_values(K: KirchhoffFn, z):
 
 def _khat_values(K: KirchhoffFn, z):
     if K.kind == "affine_power":
+        if K.b == 0:        # as in _k_values: no 0 * z^(c+1)
+            return K.a * z
         return K.a * z + K.b * np.power(z, K.c + 1.0) / (K.c + 1.0)
     if K.kind == "log1p":
         return (1.0 + z) * np.log1p(z) - z

@@ -252,9 +252,9 @@ def suite_fibering(res, psi_variant="consistent"):
                   f"pair {k}: phi max at {scan[imax]} not within one cell of eps*")
 
 
-@functools.lru_cache(maxsize=1)
 def _sampled_well(grid):
-    """The 40-direction well estimate that two suites read, computed once."""
+    """The 40-direction well estimate that two suites read; the second reads
+    it from ``estimate_well_depth``'s memo."""
     return variational.estimate_well_depth(grid, _flagship_params(), _unit_kirchhoff(),
                                            _unit_kirchhoff(), directions=40, seed=107)
 

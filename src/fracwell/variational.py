@@ -52,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -374,6 +375,10 @@ def _ray_rows(U: np.ndarray, V: np.ndarray, grid: GridDomain,
                 **_coupling_rows(U, V, params.sigma, grid.cell_measure))
 
 
+# estimates kept per process; one holds about 42 KiB at 200 directions
+_WELL_MEMO_SIZE = 16
+
+
 def estimate_well_depth(
     grid: GridDomain,
     params: ModelParams,
@@ -393,7 +398,26 @@ def estimate_well_depth(
     best pair by coordinate descent on nodal values with re-projection
     through the critical fibering scale after each move; refinement can only
     lower the estimate.
+
+    The estimate never reads the initial data, so it is memoized per
+    process on all nine arguments (grid, params, both coefficients,
+    directions, seed, modes, refine_iters, variant), keyword or positional
+    alike, in a bounded LRU of ``_WELL_MEMO_SIZE`` entries.  A repeated call
+    returns the same frozen ``WellEstimate`` object; a raised error is not
+    kept.  This pays only when one process asks more than once (a sweep in
+    process, the test suite, ``fracwell validate``'s two well suites); a
+    single ``fracwell simulate`` process computes its estimate once either
+    way.  Code that replaces the sampler's internals (monkeypatching
+    ``_direction_chunks`` or ``_ray_rows``) should call
+    ``estimate_well_depth.cache_clear()`` first.
     """
+    return _well_depth(grid, params, K_p, K_q, directions, seed, modes, refine_iters,
+                       variant)
+
+
+@lru_cache(maxsize=_WELL_MEMO_SIZE)
+def _well_depth(grid, params, K_p, K_q, directions, seed, modes, refine_iters,
+                variant) -> WellEstimate:
     if not params.well_regime:
         raise ParamError("well depth needs admissible (well-regime) parameters")
     chunks = list(_direction_chunks(grid, directions, seed, modes))
@@ -440,6 +464,9 @@ def estimate_well_depth(
         bracketing_failures=len(labels) - found.size,
         seed=seed,
     )
+
+
+estimate_well_depth.cache_clear = _well_depth.cache_clear
 
 
 # ---------------------------------------------------------------------------

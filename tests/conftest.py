@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from fracwell import KirchhoffFn, build_grid, validate_params
+from fracwell import KirchhoffFn, build_grid, validate_params, variational
 from fracwell.grids import random_smooth_field
+
+
+@pytest.fixture(autouse=True)
+def cold_well_depth():
+    """Every test starts with an empty well-depth memo, so no test reads an
+    estimate that an earlier test computed and each one's count of passes,
+    rays and misses is its own."""
+    variational.estimate_well_depth.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -359,6 +359,7 @@ def test_pair_pass_worker_leaves_artifacts_byte_identical(tmp_path, monkeypatch,
     files = {}
     for label, threshold in (("threaded", 0), ("serial", math.inf)):
         monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
+        variational.estimate_well_depth.cache_clear()   # each run takes its own well depth
         assert main(["simulate", "--config", str(config),
                      "--out", str(tmp_path / label)]) == 0
         run_dir = tmp_path / label / "run-seed1"
@@ -444,15 +445,14 @@ class TestValidateCommand:
         assert main(["validate", "--scope", "zzz-no-such-suite"]) == 1
 
     def test_two_well_suites_share_one_estimate(self, capsys, monkeypatch):
-        from fracwell import validate
-        calls = []
-        real = variational.estimate_well_depth
-        monkeypatch.setattr(variational, "estimate_well_depth",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
-        validate._sampled_well.cache_clear()
+        # the second suite reads the first one's estimate from the memo
+        walks = []
+        real = variational._direction_chunks
+        monkeypatch.setattr(variational, "_direction_chunks",
+                            lambda *a: walks.append(a) or real(*a))
         assert main(["validate", "--scope", "well-depth-positive"]) == 0
         assert main(["validate", "--scope", "constant-pair-nehari"]) == 0
-        assert len(calls) == 1
+        assert len(walks) == 1
 
     def test_printed_variant_negative_control(self, capsys):
         # the derivative-identity suite must detect the printed variant's failure

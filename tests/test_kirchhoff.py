@@ -151,8 +151,8 @@ def test_constant_coefficient_is_its_constant_bit_for_bit(a, c, A):
     (KirchhoffFn.constant(2.5), True),
     (KirchhoffFn.affine_power(1.0, 0.0, 0.5), True),
     (KirchhoffFn.affine_power(1.0, 0.0, 0.0), True),
-    (KirchhoffFn.affine_power(1.0, 0.0, 2.0), False),
-    (KirchhoffFn.affine_power(1.0, 0.0, -1.0), False),
+    (KirchhoffFn.affine_power(1.0, 0.0, 2.0), True),
+    (KirchhoffFn.affine_power(1.0, 0.0, -1.0), True),
     (KirchhoffFn.affine_power(1.0, 1e-300, 1.0), False),
     (KirchhoffFn.log1p(), False),
     (KirchhoffFn.from_table([0.0, 1.0], [1.0, 1.0], beta=0.0), False),
@@ -163,11 +163,19 @@ def test_is_constant_is_derived_and_read_only(K, constant):
         K.is_constant = not constant
 
 
-def test_b_zero_outside_unit_c_is_not_constant_at_every_bracket():
-    # 0 * z^c is NaN where z^c overflows (c > 1) or is infinite at z = 0 (c < 0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        assert math.isnan(k_eval(KirchhoffFn.affine_power(1.0, 0.0, 2.0), 1e200))
-        assert math.isnan(k_eval(KirchhoffFn.affine_power(1.0, 0.0, -1.0), 0.0))
+@pytest.mark.parametrize("c, z", [(2.0, 1e200), (2.0, math.inf), (-1.0, 0.0),
+                                  (-1.0, 1e-300), (3.0, 5e-324)],
+                         ids=["c-two-huge", "c-two-inf", "c-negative-zero", "c-negative-tiny",
+                              "c-three-subnormal"])
+def test_b_zero_is_its_constant_where_z_power_is_not_finite(c, z):
+    # a + 0 * z^c would be NaN where z^c overflows (c > 1) or is infinite at
+    # z = 0 (c < 0); with b = 0 neither K nor its antiderivative forms it
+    K = KirchhoffFn.affine_power(2.5, 0.0, c)
+    assert K.is_constant
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert k_eval(K, z) == 2.5 and k_antideriv(K, z) == 2.5 * z
+        assert np.array_equal(k_eval(K, np.array([z, 1.0])), [2.5, 2.5])
+        assert np.array_equal(k_antideriv(K, np.array([z, 1.0])), [2.5 * z, 2.5])
 
 
 class TestHypotheses:
