@@ -379,6 +379,7 @@ def _ray_rows(U: np.ndarray, V: np.ndarray, grid: GridDomain,
 _WELL_MEMO_SIZE = 16
 
 
+@lru_cache(maxsize=_WELL_MEMO_SIZE)
 def estimate_well_depth(
     grid: GridDomain,
     params: ModelParams,
@@ -400,24 +401,16 @@ def estimate_well_depth(
     lower the estimate.
 
     The estimate never reads the initial data, so it is memoized per
-    process on all nine arguments (grid, params, both coefficients,
-    directions, seed, modes, refine_iters, variant), keyword or positional
-    alike, in a bounded LRU of ``_WELL_MEMO_SIZE`` entries.  A repeated call
-    returns the same frozen ``WellEstimate`` object; a raised error is not
-    kept.  This pays only when one process asks more than once (a sweep in
+    process on its arguments as passed, in a bounded LRU of
+    ``_WELL_MEMO_SIZE`` entries (``functools.lru_cache``: a positional and a
+    keyword spelling of one call are two entries).  A repeated call returns
+    the same frozen ``WellEstimate`` object; a raised error is not kept.  This pays only when one process asks more than once (a sweep in
     process, the test suite, ``fracwell validate``'s two well suites); a
     single ``fracwell simulate`` process computes its estimate once either
     way.  Code that replaces the sampler's internals (monkeypatching
     ``_direction_chunks`` or ``_ray_rows``) should call
     ``estimate_well_depth.cache_clear()`` first.
     """
-    return _well_depth(grid, params, K_p, K_q, directions, seed, modes, refine_iters,
-                       variant)
-
-
-@lru_cache(maxsize=_WELL_MEMO_SIZE)
-def _well_depth(grid, params, K_p, K_q, directions, seed, modes, refine_iters,
-                variant) -> WellEstimate:
     if not params.well_regime:
         raise ParamError("well depth needs admissible (well-regime) parameters")
     chunks = list(_direction_chunks(grid, directions, seed, modes))
@@ -464,9 +457,6 @@ def _well_depth(grid, params, K_p, K_q, directions, seed, modes, refine_iters,
         bracketing_failures=len(labels) - found.size,
         seed=seed,
     )
-
-
-estimate_well_depth.cache_clear = _well_depth.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def memo():
-    return variational._well_depth.cache_info()
+    return estimate_well_depth.cache_info()
 
 
 def test_warm_call_is_the_cold_estimate_without_a_pass(monkeypatch, grid32, flagship_params,
@@ -31,9 +31,8 @@ def test_warm_call_is_the_cold_estimate_without_a_pass(monkeypatch, grid32, flag
     calls = []
     real = variational.pair_values
     monkeypatch.setattr(variational, "pair_values", lambda *a: calls.append(a) or real(*a))
-    # positional and keyword calls share one entry
-    warm = estimate_well_depth(grid32, flagship_params, unit_kirchhoff, unit_kirchhoff, 10, 5,
-                               6, 0, "consistent")
+    warm = estimate_well_depth(grid32, flagship_params, unit_kirchhoff, unit_kirchhoff,
+                               directions=10, seed=5)
     assert warm is cold and calls == []
     assert (memo().hits, memo().misses) == (1, 1)
 
