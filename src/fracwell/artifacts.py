@@ -76,10 +76,8 @@ def _csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
 
 def write_field_csv(path: str | Path, field: GridField) -> None:
     """One row per node: x[,y],value with a mandatory header."""
-    coords = field.domain.coords
     header = ["x", "value"] if field.domain.ndim == 1 else ["x", "y", "value"]
-    rows = [list(map(float, coords[i])) + [float(field.values[i])]
-            for i in range(field.domain.node_count)]
+    rows = np.column_stack((field.domain.coords, field.values)).tolist()
     atomic_write_text(path, _csv_text(header, rows))
 
 

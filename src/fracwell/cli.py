@@ -110,19 +110,16 @@ def cmd_simulate(args) -> int:
     artifacts.write_field_csv(run_dir / "initial_v.csv", v0)
     artifacts.write_trace_csv(run_dir / "trace.csv", trace)
 
-    fit = None
-    if trace.outcome.kind == "CompletedHorizon":
-        fit = dynamics.decay_fit(trace)
-    cls_json = cls.to_json_dict()
-    outcome_payload = trace.outcome.to_json_dict()
-    outcome_payload["t_max_bound"] = cls_json["t_max_bound"]
-    outcome_payload["decay_fit"] = None if fit is None else dataclasses.asdict(fit)
-    artifacts.write_json(run_dir / "outcome.json", outcome_payload)
+    fit = dynamics.decay_fit(trace) if trace.outcome.kind == "CompletedHorizon" else None
+    cls_json, outcome_json = cls.to_json_dict(), trace.outcome.to_json_dict()
+    fit_json = None if fit is None else dataclasses.asdict(fit)
+    artifacts.write_json(run_dir / "outcome.json", {
+        **outcome_json, "t_max_bound": cls_json["t_max_bound"], "decay_fit": fit_json})
 
     summary = {
         "classification": cls_json,
-        "outcome": trace.outcome.to_json_dict(),
-        "decay_fit": None if fit is None else dataclasses.asdict(fit),
+        "outcome": outcome_json,
+        "decay_fit": fit_json,
         "bound_comparisons": _bound_comparisons(cls_json, trace, fit),
         "well_depth": {"d": est.d, "samples": est.sample_count,
                        "bracketing_failures": est.bracketing_failures},

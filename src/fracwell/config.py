@@ -26,16 +26,22 @@ object is rejected by name.  Unknown keys at the top level
 and in the "grid", "kirchhoff_p"/"kirchhoff_q" (per kind), "initial_u"/
 "initial_v", "integrator" and "well_depth" blocks are rejected by name, so a
 typo such as "rtoll" or "B" fails instead of running with the default.  So is
-a bad value in the "integrator" and "well_depth" blocks: every integrator
-control must be a positive number ("dt_max" may also be null), "directions"
-and "refine_iters" integers >= 0 and "modes" an integer >= 1.  The
-integrator block's keys, defaults and value rule are those of
-``dynamics.IntegratorControls``.
+a bad value: every integrator control must be a positive finite number
+("dt_max" may also be null), "directions" and "refine_iters" integers >= 0
+and "modes" an integer >= 1, "seed" an integer >= 0 (not a bool),
+"output_dir" a string and each "amplitude" a finite number.  The grid's
+extents must be positive and finite and its counts integers, and every
+Kirchhoff value finite.  The integrator block's keys, defaults and value
+rule are those of ``dynamics.IntegratorControls``; the grid's and the
+Kirchhoff blocks' value rules are those of ``grids.GridDomain`` and
+``kirchhoff.KirchhoffFn``, so the Python API shares them.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -93,6 +99,18 @@ class ExperimentConfig:
     output_dir: str
     seed: int
 
+    def __post_init__(self):
+        # here, not in from_dict, so the --seed and --out overrides meet the rule too
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"config 'seed' must be an integer >= 0, got {seed!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"config 'output_dir' must be a string, got {self.output_dir!r}")
+        for name in ("initial_u", "initial_v"):
+            amp = getattr(self, name).get("amplitude", 1.0)
+            if not isinstance(amp, numbers.Real) or not math.isfinite(amp):
+                raise ConfigError(f"{name} 'amplitude' must be a finite number, got {amp!r}")
+
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -142,8 +160,8 @@ class ExperimentConfig:
             integrator=integ,
             psi_variant=psi_variant,
             well_depth=well,
-            output_dir=str(raw["output_dir"]),
-            seed=int(raw["seed"]),
+            output_dir=raw["output_dir"],
+            seed=raw["seed"],
         )
 
     @classmethod
@@ -177,8 +195,8 @@ class ExperimentConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid grid block: {exc}") from exc
 
-    def _build_kfn(self, block: dict, beta_default: float) -> KirchhoffFn:
-        blk = dict(block)
+    def _build_kfn(self, name: str, beta_default: float) -> KirchhoffFn:
+        blk = dict(getattr(self, name))
         kind = blk.pop("kind", None)
         beta = blk.pop("beta", beta_default)
         try:
@@ -192,11 +210,11 @@ class ExperimentConfig:
                 return KirchhoffFn.from_table(blk["z"], blk["k"], beta=beta)
             raise ConfigError(f"unknown Kirchhoff kind {kind!r}")
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid Kirchhoff block: {exc}") from exc
+            raise ConfigError(f"invalid {name} block: {exc}") from exc
 
     def build_kirchhoff(self) -> tuple[KirchhoffFn, KirchhoffFn]:
         beta = float(self.params.get("beta", 0.0))
-        return self._build_kfn(self.kirchhoff_p, beta), self._build_kfn(self.kirchhoff_q, beta)
+        return self._build_kfn("kirchhoff_p", beta), self._build_kfn("kirchhoff_q", beta)
 
     def build_initial_pair(self, grid: GridDomain) -> tuple[GridField, GridField]:
         def one(block: dict) -> GridField:

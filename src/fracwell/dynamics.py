@@ -25,7 +25,11 @@ cumulative dissipation is accumulated with the pair's own fifth-order stage
 weights, which costs nothing (the stage derivatives are already available):
 D is the fifth-order solution of the augmented dissipation equation
 z' = |u_t|^2 + |v_t|^2, so the identity residual is the pair's global error
-on the invariant phi + z and converges like it, O(rtol) or better.
+on the invariant phi + z and converges like it, O(rtol) or better.  The
+integrand is non-negative, so a negative increment is recorded as 0 and one
+that is not finite as +inf: once a stage's |u_t|^2 overflows, the weights'
+two signs would make the increment inf - inf, and D stays +inf from that row
+on instead of turning NaN.
 
 The loop works on the stacked state y = [u, v] in reused buffers.  A run's
 ``Flow`` resolves the kernels of u and v once, and each stage is one
@@ -150,8 +154,8 @@ _ROW = ("t", "dt", *_RAY_SUMS, "l2_u", "l2_v", "maxabs_u", "maxabs_v", "D", "ut_
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Stepping controls: each a positive number (not a bool), stored as a
-    float; ``dt_max`` may also be None, for no cap on the step."""
+    """Stepping controls: each a positive finite number (not a bool), stored
+    as a float; ``dt_max`` may also be None, for no cap on the step."""
 
     t_end: float
     dt_init: float = 1e-6
@@ -165,8 +169,10 @@ class IntegratorControls:
             value = getattr(self, f.name)
             if value is None and f.name == "dt_max":
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
-                raise ParamError(f"integrator {f.name!r} must be a positive number, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):
+                raise ParamError(f"integrator {f.name!r} must be a positive number, "
+                                 f"not inf or NaN, got {value!r}")
             object.__setattr__(self, f.name, float(value))
 
 
@@ -192,7 +198,8 @@ class SimTrace:
     accepted step, the first at t = 0.  ``ut_sq`` and ``vt_sq`` are
     |u_t|_2^2 and |v_t|_2^2 from the evaluated right-hand side; ``D`` is the
     cumulative dissipation integral of their sum, accumulated per step with
-    the integrator's fifth-order stage weights.  It is non-decreasing and
+    the integrator's fifth-order stage weights.  It is non-decreasing, +inf
+    from the first step whose increment is not finite (never NaN), and
     enters the energy-identity residual.
     """
 
@@ -304,7 +311,7 @@ def integrate(
             # same-tableau stage quadrature of the dissipation integrand
             sq = sq_norms(ks)
             incr = dt * sum(b * (sq[j][0] + sq[j][1]) for j, b in _FIFTH)
-            D += max(incr, 0.0)
+            D += max(incr, 0.0) if math.isfinite(incr) else math.inf
             y, y5 = y5, y
             ks[0] = ks[6]
             # the last stage ran at y5 itself: its brackets are those of y

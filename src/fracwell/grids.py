@@ -9,6 +9,8 @@ condition); no ghost values are ever stored or read.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -39,10 +41,13 @@ class GridDomain:
             raise GridError("extents and counts must be non-empty and of equal length")
         if len(self.extents) > 2:
             raise GridError("only N = 1 or 2 supported")
-        if any(e <= 0 for e in self.extents):
-            raise GridError(f"extents must be positive, got {self.extents}")
-        if any(c < 2 for c in self.counts):
-            raise GridError(f"need at least 2 nodes per axis, got {self.counts}")
+        if not all(0 < e < math.inf for e in self.extents):
+            raise GridError(f"'extents' must be positive and finite, got {self.extents}")
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 2
+               for c in self.counts):
+            raise GridError(f"'counts' must be integers, at least 2 nodes per axis, "
+                            f"got {self.counts}")
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         spacings = [e / c for e, c in zip(self.extents, self.counts)]
         h = spacings[0]
         if any(abs(sp - h) > 1e-12 * h for sp in spacings[1:]):
@@ -108,8 +113,8 @@ def build_grid(
     if np.isscalar(extents):
         extents = [float(extents)]
     if np.isscalar(counts):
-        counts = [int(counts)]
-    return GridDomain(tuple(float(e) for e in extents), tuple(int(c) for c in counts))
+        counts = [counts]
+    return GridDomain(tuple(float(e) for e in extents), tuple(counts))
 
 
 PRESETS = ("constant", "sine", "bump", "indicator")

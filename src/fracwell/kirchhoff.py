@@ -17,6 +17,7 @@ inequalities, never strictness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -47,6 +48,10 @@ class KirchhoffFn:
     table_k: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
+        for name in ("beta", "a", "b", "c"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise KirchhoffError(f"{name!r} must be a finite number, got {value!r}")
         if self.beta < 0:
             raise KirchhoffError(f"beta must be nonnegative, got {self.beta}")
         if self.kind == "affine_power":
@@ -64,6 +69,8 @@ class KirchhoffFn:
             k = np.asarray(self.table_k, dtype=float)
             if z.size < 2 or z.size != k.size:
                 raise KirchhoffError("table needs matching z/K samples, at least two")
+            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(k))):
+                raise KirchhoffError("table 'z' and 'k' values must be finite")
             if np.any(np.diff(z) <= 0) or z[0] < 0:
                 raise KirchhoffError("table z values must be nonnegative and increasing")
         else:

@@ -21,22 +21,11 @@ class Series:
     label: str = ""
 
 
-def _transform(vals, lo, hi, out_lo, out_hi, log):
-    vals = np.asarray(vals, float)
-    if log:
-        vals, lo, hi = np.log10(vals), math.log10(lo), math.log10(hi)
-    if hi <= lo:
-        hi = lo + 1.0
-    return out_lo + (vals - lo) * (out_hi - out_lo) / (hi - lo)
-
-
 def _ticks(lo, hi, log):
     if log:
         d0, d1 = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         return [10.0 ** d for d in range(d0, d1 + 1)]
     span = hi - lo
-    if span <= 0:
-        return [lo]
     step = 10.0 ** math.floor(math.log10(span / 4))
     for m in (1, 2, 5, 10):
         if span / (step * m) <= 6:
@@ -44,6 +33,32 @@ def _ticks(lo, hi, log):
             break
     first = math.ceil(lo / step) * step
     return list(np.arange(first, hi + 0.5 * step, step))
+
+
+def _axis(vals: list[np.ndarray], log: bool, px_lo: float, px_hi: float):
+    """One axis from the kept points of every series: its range lo, hi, the
+    map of data values (scalar or array) to pixels, and the (value, pixel) of
+    each tick in the range.  The range is [0, 1] with no series, [0.1, 1] when
+    no point was kept, +-0.5 around a single value on a linear axis, and at
+    least [lo, 1.0001 lo] on a log axis."""
+    allv = np.concatenate(vals) if vals else np.array([0.0, 1.0])
+    if allv.size == 0:
+        allv = np.array([0.1, 1.0])
+    lo, hi = float(np.min(allv)), float(np.max(allv))
+    if log:
+        hi = max(hi, lo * 1.0001)
+    elif lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
+    if b <= a:
+        b = a + 1.0
+
+    def to_px(v):
+        v = np.asarray(v, float)
+        return px_lo + ((np.log10(v) if log else v) - a) * (px_hi - px_lo) / (b - a)
+
+    ticks = [tv for tv in _ticks(lo, hi, log) if lo <= tv <= hi * (1 + 1e-12)]
+    return lo, hi, to_px, list(zip(ticks, to_px(ticks).tolist()))
 
 
 def _fmt(v):
@@ -77,29 +92,8 @@ def plot_svg(
         if ylog:
             keep &= ys > 0
         pts.append((xs[keep], ys[keep]))
-    allx = np.concatenate([p[0] for p in pts]) if pts else np.array([0.0, 1.0])
-    ally = np.concatenate([p[1] for p in pts]) if pts else np.array([0.0, 1.0])
-    if allx.size == 0:
-        allx = np.array([0.1, 1.0])
-    if ally.size == 0:
-        ally = np.array([0.1, 1.0])
-    xlo, xhi = float(np.min(allx)), float(np.max(allx))
-    ylo, yhi = float(np.min(ally)), float(np.max(ally))
-    if not xlog and xlo == xhi:
-        xlo, xhi = xlo - 0.5, xhi + 0.5
-    if not ylog and ylo == yhi:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
-    if xlog:
-        xhi = max(xhi, xlo * 1.0001)
-    if ylog:
-        yhi = max(yhi, ylo * 1.0001)
-
-    def X(v):
-        return _transform(v, xlo, xhi, _ML, _W - _MR, xlog)
-
-    def Y(v):
-        return _transform(v, ylo, yhi, _H - _MB, _MT, ylog)
-
+    xlo, xhi, X, xticks = _axis([p[0] for p in pts], xlog, _ML, _W - _MR)
+    _, _, Y, yticks = _axis([p[1] for p in pts], ylog, _H - _MB, _MT)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="12">',
@@ -109,16 +103,10 @@ def plot_svg(
     ]
     if title:
         out.append(f'<text x="{_W/2}" y="{_MT-12}" text-anchor="middle">{title}</text>')
-    for tv in _ticks(xlo, xhi, xlog):
-        if not (xlo <= tv <= xhi * (1 + 1e-12)):
-            continue
-        px = float(X(tv))
+    for tv, px in xticks:
         out.append(f'<line x1="{px:.1f}" y1="{_H-_MB}" x2="{px:.1f}" y2="{_H-_MB+5}" stroke="#444"/>')
         out.append(f'<text x="{px:.1f}" y="{_H-_MB+18}" text-anchor="middle">{_fmt(tv)}</text>')
-    for tv in _ticks(ylo, yhi, ylog):
-        if not (ylo <= tv <= yhi * (1 + 1e-12)):
-            continue
-        py = float(Y(tv))
+    for tv, py in yticks:
         out.append(f'<line x1="{_ML-5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="#444"/>')
         out.append(f'<text x="{_ML-8}" y="{py+4:.1f}" text-anchor="end">{_fmt(tv)}</text>')
     if xlabel:
@@ -132,7 +120,7 @@ def plot_svg(
         if xs.size == 0:
             continue
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{float(X(x)):.2f},{float(Y(y)):.2f}" for x, y in zip(xs, ys))
+        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in zip(X(xs).tolist(), Y(ys).tolist()))
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if s.label:
             ly = _MT + 16 + 16 * i
@@ -141,7 +129,7 @@ def plot_svg(
             out.append(f'<text x="{_W-_MR-100}" y="{ly}">{s.label}</text>')
     for mx, my, label in marks or []:
         ok = (not xlog or mx > 0) and (not ylog or my > 0)
-        if not ok or not (xlo <= mx <= xhi) :
+        if not ok or not (xlo <= mx <= xhi):
             continue
         px, py = float(X(mx)), float(Y(my))
         out.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="4" fill="#d62728"/>')

@@ -129,6 +129,7 @@ class TestConfig:
         ("integrator", "dt_max", -1), ("integrator", "dt_max", 0),
         ("integrator", "t_end", -1), ("integrator", "t_end", None),
         ("integrator", "rtol", "1e-8"),
+        ("integrator", "t_end", math.inf), ("integrator", "rtol", math.inf),
         ("well_depth", "directions", -1), ("well_depth", "directions", 2.5),
         ("well_depth", "modes", 0), ("well_depth", "refine_iters", -3),
     ])
@@ -143,6 +144,48 @@ class TestConfig:
         assert main(["simulate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and f"{block} '{key}'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "seed", -1), (None, "seed", "abc"), (None, "seed", 1.7), (None, "seed", True),
+        (None, "output_dir", 5), (None, "output_dir", None),
+        ("initial_u", "amplitude", math.nan), ("initial_v", "amplitude", math.inf),
+        ("kirchhoff_p", "a", math.nan), ("kirchhoff_q", "b", math.nan),
+        ("kirchhoff_p", "beta", math.nan), ("kirchhoff_q", "c", math.inf),
+        ("grid", "extents", [math.nan]), ("grid", "extents", [math.inf]),
+        ("grid", "counts", [48.7]),
+    ], ids=["seed-negative", "seed-string", "seed-float", "seed-bool", "output_dir-int",
+            "output_dir-null", "amplitude-nan", "amplitude-inf", "a-nan", "b-nan", "beta-nan",
+            "c-inf", "extents-nan", "extents-inf", "counts-float"])
+    def test_bad_run_and_model_values_fail_by_name(self, tmp_path, capsys, monkeypatch,
+                                                   block, key, value):
+        # unchecked, these crash with exit 2, run under another seed, directory
+        # or node count, or print NaN and Infinity, which are not JSON
+        raw = json.loads((CONFIGS / "decay.json").read_text())
+        raw["output_dir"] = str(tmp_path / "out")
+        (raw if block is None else raw[block])[key] = value
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert main(["classify", "--config", "bad.json"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{block or 'config'}" in err and f"'{key}'" in err
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("key", ["z", "k"])
+    def test_kirchhoff_table_values_must_be_finite(self, tmp_path, capsys, key):
+        table = {"kind": "table", "z": [0.0, 1.0], "k": [1.0, 2.0]}
+        table[key] = [0.0, math.nan] if key == "z" else [1.0, math.inf]
+        path = make_config(tmp_path, kirchhoff_q=table)
+        assert main(["classify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: invalid kirchhoff_q block" in err and f"'{key}'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_meets_the_seed_rule(self, tmp_path, capsys):
+        path = make_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 1
+        assert "config error: config 'seed' must be an integer >= 0, got -1" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @staticmethod

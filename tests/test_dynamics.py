@@ -226,6 +226,10 @@ class TestIntegrate:
         assert skip.outcome.kind == "CompletedHorizon"
         assert skip.outcome.t == pytest.approx(controls.t_end)
         assert len(skip) > 10 and np.all(np.isfinite(skip["phi"]))
+        # |u_t|^2 overflows: D is +inf, not NaN, and never decreases
+        D = skip["D"]
+        assert not np.any(np.isnan(D)) and np.all(D[1:] >= D[:-1])
+        assert np.isinf(skip["ut_sq"][0]) and D[-1] == math.inf
         monkeypatch.setattr(KirchhoffFn, "is_constant", False)
         every = run()
         assert every.outcome == skip.outcome
@@ -286,6 +290,13 @@ class TestIntegrate:
         with pytest.raises(ParamError, match="dt_max"):
             IntegratorControls(t_end=1.0, dt_max=dt_max)
         assert IntegratorControls(t_end=1.0, dt_max=None).dt_max is None
+
+    @pytest.mark.parametrize("key", ["t_end", "dt_init", "dt_min", "rtol",
+                                     "blowup_threshold", "dt_max"])
+    def test_controls_must_be_finite(self, key):
+        # an infinite t_end or rtol ran the decay config into a BlowUp
+        with pytest.raises(ParamError, match=f"'{key}' must be a positive number, not inf"):
+            IntegratorControls(**{"t_end": 1.0, key: math.inf})
 
     def test_controls_are_stored_as_floats(self):
         controls = IntegratorControls(t_end=2, rtol=1, dt_max=3)

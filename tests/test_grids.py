@@ -42,6 +42,17 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid(-1.0, 4)
 
+    @pytest.mark.parametrize("extents, counts, key", [
+        (math.nan, 8, "'extents'"), (math.inf, 8, "'extents'"),
+        (1.0, 8.7, "'counts'"), (1.0, 8.0, "'counts'"), (1.0, True, "'counts'"),
+    ])
+    def test_extents_finite_and_counts_integers(self, extents, counts, key):
+        # a NaN or inf extent gave NaN coordinates, and 8.7 ran as 8 nodes
+        with pytest.raises(GridError, match=key):
+            build_grid(extents, counts)
+        counts = build_grid(1.0, np.int64(8)).counts
+        assert counts == (8,) and type(counts[0]) is int
+
 
 class TestSampleField:
     def test_constant_zero_amplitude(self, grid2):

@@ -32,6 +32,20 @@ class TestEvaluation:
         with pytest.raises(KirchhoffError, match="unknown Kirchhoff kind"):
             KirchhoffFn(kind="quadratic")
 
+    @pytest.mark.parametrize("key", ["a", "b", "c", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_values_must_be_finite(self, key, value):
+        # a NaN a or b made the well depth inf and phi0 NaN without an error
+        args = {"a": 1.0, "b": 1.0, "c": 1.0, "beta": 0.0, key: value}
+        with pytest.raises(KirchhoffError, match=f"'{key}' must be a finite number"):
+            KirchhoffFn.affine_power(**args)
+
+    @pytest.mark.parametrize("z, k", [([0.0, math.nan], [1.0, 2.0]),
+                                      ([0.0, 1.0], [1.0, math.inf])])
+    def test_table_values_must_be_finite(self, z, k):
+        with pytest.raises(KirchhoffError, match="must be finite"):
+            KirchhoffFn.from_table(z, k, beta=0.0)
+
 
 @pytest.mark.parametrize("K", [
     KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25),
