@@ -72,12 +72,8 @@ def _setup(cfg: ExperimentConfig, well: bool = True):
 
 
 def _well_estimate(cfg, params, grid, Kp, Kq):
-    wd = cfg.well_depth
     return variational.estimate_well_depth(
-        grid, params, Kp, Kq,
-        directions=wd["directions"], seed=cfg.seed, modes=wd["modes"],
-        refine_iters=wd["refine_iters"], variant=cfg.psi_variant,
-    )
+        grid, params, Kp, Kq, seed=cfg.seed, variant=cfg.psi_variant, **cfg.well_depth)
 
 
 def _classification(cfg, params, grid, Kp, Kq, u0, v0):
@@ -110,17 +106,26 @@ def cmd_simulate(args) -> int:
     artifacts.write_field_csv(run_dir / "initial_v.csv", v0)
     artifacts.write_trace_csv(run_dir / "trace.csv", trace)
 
-    fit = dynamics.decay_fit(trace) if trace.outcome.kind == "CompletedHorizon" else None
     cls_json, outcome_json = cls.to_json_dict(), trace.outcome.to_json_dict()
-    fit_json = None if fit is None else dataclasses.asdict(fit)
+    fit_json = (dataclasses.asdict(dynamics.decay_fit(trace))
+                if trace.outcome.kind == "CompletedHorizon" else None)
     artifacts.write_json(run_dir / "outcome.json", {
         **outcome_json, "t_max_bound": cls_json["t_max_bound"], "decay_fit": fit_json})
 
+    fit = fit_json or {}
     summary = {
         "classification": cls_json,
         "outcome": outcome_json,
         "decay_fit": fit_json,
-        "bound_comparisons": _bound_comparisons(cls_json, trace, fit),
+        # always pairs of numbers, never a bare verdict
+        "bound_comparisons": {
+            "t_detect_vs_t_max_bound": {"t_detect": outcome_json.get("t_detect"),
+                                        "t_max_bound": cls_json["t_max_bound"]},
+            "fitted_vs_predicted_decay": {
+                "fitted_kind": fit.get("kind"), "fitted_rate_or_exponent": fit.get("rate"),
+                "predicted_kind": fit.get("predicted_kind"),
+                "predicted_exponent": fit.get("predicted_exponent")},
+        },
         "well_depth": {"d": est.d, "samples": est.sample_count,
                        "bracketing_failures": est.bracketing_failures},
         "residual_max_abs": (
@@ -137,22 +142,6 @@ def cmd_simulate(args) -> int:
     print(f"outcome: {trace.outcome.kind} at t={trace.outcome.t:.6g} "
           f"(verdict {cls.verdict}); artifacts in {run_dir}")
     return EXIT_BLOWUP if trace.outcome.kind == "BlowUp" else EXIT_OK
-
-
-def _bound_comparisons(cls_json, trace, fit) -> dict:
-    """Always pairs of numbers, never a bare verdict."""
-    out = {}
-    out["t_detect_vs_t_max_bound"] = {
-        "t_detect": trace.outcome.t if trace.outcome.kind == "BlowUp" else None,
-        "t_max_bound": cls_json["t_max_bound"],
-    }
-    out["fitted_vs_predicted_decay"] = {
-        "fitted_kind": None if fit is None else fit.kind,
-        "fitted_rate_or_exponent": None if fit is None else fit.rate,
-        "predicted_kind": None if fit is None else fit.predicted_kind,
-        "predicted_exponent": None if fit is None else fit.predicted_exponent,
-    }
-    return out
 
 
 def _emit_plots(run_dir, trace):
@@ -263,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=config_required, help="experiment config JSON")
         sp.add_argument("--out", help="override the output directory")
         sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--psi-variant", choices=("consistent", "printed"),
+        sp.add_argument("--psi-variant", choices=variational.PSI_VARIANTS,
                         dest="psi_variant", help="Nehari variant override")
 
     sp = sub.add_parser("simulate", help="integrate the flow and write run artifacts")
@@ -287,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run the invariant suites")
     sp.add_argument("--scope", default="all", help="substring filter on suite names")
-    sp.add_argument("--psi-variant", choices=("consistent", "printed"),
-                    dest="psi_variant", default="consistent")
+    sp.add_argument("--psi-variant", choices=variational.PSI_VARIANTS,
+                    dest="psi_variant", default=variational.PSI_VARIANTS[0])
     sp.set_defaults(fn=cmd_validate)
     return parser
 

@@ -27,7 +27,8 @@ and in the "grid", "kirchhoff_p"/"kirchhoff_q" (per kind), "initial_u"/
 "initial_v", "integrator" and "well_depth" blocks are rejected by name, so a
 typo such as "rtoll" or "B" fails instead of running with the default.  So is
 a bad value: every integrator control must be a positive finite number
-("dt_max" may also be null), "directions" and "refine_iters" integers >= 0
+("dt_max" may also be null), "dt_min" may not exceed "dt_init" or a set
+"dt_max", "directions" and "refine_iters" integers >= 0
 and "modes" an integer >= 1, "seed" an integer >= 0 (not a bool),
 "output_dir" a string and each "amplitude" a finite number.  The grid's
 extents must be positive and finite and its counts integers, and every
@@ -49,22 +50,31 @@ from .dynamics import IntegratorControls
 from .grids import GridDomain, GridField, build_grid, sample_field
 from .kirchhoff import KirchhoffFn
 from .params import ModelParams, ParamError, validate_params
+from .variational import PSI_VARIANTS
 
 
 class ConfigError(ValueError):
     pass
 
 
-# the fields of IntegratorControls; a missing "t_end" reads as null, which
-# the class's value rule rejects
-_DEFAULTS_INTEGRATOR = {f.name: None if f.default is MISSING else f.default
-                        for f in fields(IntegratorControls)}
-_DEFAULTS_WELL = {"directions": 200, "modes": 6, "refine_iters": 0}
-_BLOCKS = ("params", "grid", "kirchhoff_p", "kirchhoff_q", "initial_u", "initial_v",
-           "integrator", "well_depth")
-_KIRCHHOFF_KEYS = {"affine_power": ("kind", "a", "b", "c", "beta"),
-                   "log1p": ("kind", "beta"),
-                   "table": ("kind", "z", "k", "beta")}
+# each Kirchhoff kind: its constructor and its keys besides "kind" and
+# "beta", with their defaults (None: required)
+_KIRCHHOFF_KINDS = {"affine_power": (KirchhoffFn.affine_power, {"a": 1.0, "b": 0.0, "c": 1.0}),
+                    "log1p": (KirchhoffFn.log1p, {}),
+                    "table": (KirchhoffFn.from_table, {"z": None, "k": None})}
+# the blocks of a config in field order, each with the keys it allows: any
+# for the params block (None), which validate_params checks when it is built;
+# those of its kind for a Kirchhoff block; and for the integrator and
+# well_depth blocks, the keys of the defaults they are filled from
+_BLOCKS = {"params": None, "grid": ("extents", "counts"),
+           "kirchhoff_p": _KIRCHHOFF_KINDS, "kirchhoff_q": _KIRCHHOFF_KINDS,
+           "initial_u": ("preset", "amplitude"), "initial_v": ("preset", "amplitude"),
+           # a missing "t_end" reads as null, which IntegratorControls rejects
+           "integrator": {f.name: None if f.default is MISSING else f.default
+                          for f in fields(IntegratorControls)},
+           "well_depth": {"directions": 200, "modes": 6, "refine_iters": 0}}
+# the config keys that may be left out, with their defaults
+_OPTIONAL = {"psi_variant": PSI_VARIANTS[0], "well_depth": {}}
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -123,46 +133,31 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        required = ("params", "grid", "kirchhoff_p", "kirchhoff_q",
-                    "initial_u", "initial_v", "integrator", "output_dir", "seed")
-        missing = [k for k in required if k not in raw]
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in raw and k not in _OPTIONAL]
         if missing:
             raise ConfigError(f"config missing keys: {missing}")
+        raw = {**_OPTIONAL, **raw}
         for name in _BLOCKS:
-            if not isinstance(raw.get(name, {}), dict):
+            if not isinstance(raw[name], dict):
                 raise ConfigError(f"{name} must be a JSON object, got {raw[name]!r}")
-        _reject_unknown(raw, (f.name for f in fields(cls)), "config")
-        _reject_unknown(raw["grid"], ("extents", "counts"), "grid")
-        for name in ("kirchhoff_p", "kirchhoff_q"):
-            kind = raw[name].get("kind")
-            if kind not in _KIRCHHOFF_KEYS:
-                raise ConfigError(f"unknown Kirchhoff kind {kind!r} in {name}")
-            _reject_unknown(raw[name], _KIRCHHOFF_KEYS[kind], f"{name} ({kind})")
-        for name in ("initial_u", "initial_v"):
-            _reject_unknown(raw[name], ("preset", "amplitude"), name)
-        _reject_unknown(raw["integrator"], _DEFAULTS_INTEGRATOR, "integrator")
-        _reject_unknown(raw.get("well_depth", {}), _DEFAULTS_WELL, "well_depth")
-        psi_variant = raw.get("psi_variant", "consistent")
-        if psi_variant not in ("consistent", "printed"):
-            raise ConfigError(f"psi_variant must be consistent|printed, got {psi_variant!r}")
-        integ = dict(_DEFAULTS_INTEGRATOR)
-        integ.update(raw["integrator"])
-        well = dict(_DEFAULTS_WELL)
-        well.update(raw.get("well_depth", {}))
-        _reject_bad_values(integ, well)
-        return cls(
-            params=dict(raw["params"]),
-            grid=dict(raw["grid"]),
-            kirchhoff_p=dict(raw["kirchhoff_p"]),
-            kirchhoff_q=dict(raw["kirchhoff_q"]),
-            initial_u=dict(raw["initial_u"]),
-            initial_v=dict(raw["initial_v"]),
-            integrator=integ,
-            psi_variant=psi_variant,
-            well_depth=well,
-            output_dir=raw["output_dir"],
-            seed=raw["seed"],
-        )
+        _reject_unknown(raw, names, "config")
+        for name, allowed in _BLOCKS.items():
+            where = name
+            if allowed is _KIRCHHOFF_KINDS:
+                kind = raw[name].get("kind")
+                if kind not in allowed:
+                    raise ConfigError(f"unknown Kirchhoff kind {kind!r} in {name}")
+                allowed, where = ("kind", "beta", *allowed[kind][1]), f"{name} ({kind})"
+            elif isinstance(allowed, dict):
+                raw[name] = {**allowed, **raw[name]}
+            if allowed is not None:
+                _reject_unknown(raw[name], allowed, where)
+        if raw["psi_variant"] not in PSI_VARIANTS:
+            raise ConfigError(f"psi_variant must be {'|'.join(PSI_VARIANTS)}, "
+                              f"got {raw['psi_variant']!r}")
+        _reject_bad_values(raw["integrator"], raw["well_depth"])
+        return cls(**{k: dict(raw[k]) if k in _BLOCKS else raw[k] for k in names})
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -200,15 +195,11 @@ class ExperimentConfig:
         kind = blk.pop("kind", None)
         beta = blk.pop("beta", beta_default)
         try:
-            if kind == "affine_power":
-                return KirchhoffFn.affine_power(
-                    a=blk.get("a", 1.0), b=blk.get("b", 0.0), c=blk.get("c", 1.0), beta=beta
-                )
-            if kind == "log1p":
-                return KirchhoffFn.log1p(beta=beta)
-            if kind == "table":
-                return KirchhoffFn.from_table(blk["z"], blk["k"], beta=beta)
-            raise ConfigError(f"unknown Kirchhoff kind {kind!r}")
+            if kind not in _KIRCHHOFF_KINDS:
+                raise ConfigError(f"unknown Kirchhoff kind {kind!r}")
+            make, keys = _KIRCHHOFF_KINDS[kind]
+            return make(**{k: blk[k] if d is None else blk.get(k, d) for k, d in keys.items()},
+                        beta=beta)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid {name} block: {exc}") from exc
 

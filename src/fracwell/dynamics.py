@@ -155,7 +155,8 @@ _ROW = ("t", "dt", *_RAY_SUMS, "l2_u", "l2_v", "maxabs_u", "maxabs_v", "D", "ut_
 @dataclass(frozen=True)
 class IntegratorControls:
     """Stepping controls: each a positive finite number (not a bool), stored
-    as a float; ``dt_max`` may also be None, for no cap on the step."""
+    as a float; ``dt_max`` may also be None, for no cap on the step.  The
+    step floor ``dt_min`` may not exceed ``dt_init`` or a set ``dt_max``."""
 
     t_end: float
     dt_init: float = 1e-6
@@ -174,6 +175,12 @@ class IntegratorControls:
                 raise ParamError(f"integrator {f.name!r} must be a positive number, "
                                  f"not inf or NaN, got {value!r}")
             object.__setattr__(self, f.name, float(value))
+        if self.dt_min > self.dt_init:
+            raise ParamError(f"integrator 'dt_min' ({self.dt_min!r}) must not exceed "
+                             f"integrator 'dt_init' ({self.dt_init!r})")
+        if self.dt_max is not None and self.dt_max < self.dt_min:
+            raise ParamError(f"integrator 'dt_max' ({self.dt_max!r}) must not be below "
+                             f"integrator 'dt_min' ({self.dt_min!r})")
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,11 @@ def _ticks(lo, hi, log):
 def _axis(vals: list[np.ndarray], log: bool, px_lo: float, px_hi: float):
     """One axis from the kept points of every series: its range lo, hi, the
     map of data values (scalar or array) to pixels, and the (value, pixel) of
-    each tick in the range.  The range is [0, 1] with no series, [0.1, 1] when
-    no point was kept, +-0.5 around a single value on a linear axis, and at
-    least [lo, 1.0001 lo] on a log axis."""
-    allv = np.concatenate(vals) if vals else np.array([0.0, 1.0])
+    each tick in the range.  The range is [0, 1] with no series on a linear
+    axis, [0.1, 1] with no series on a log axis or when no point was kept,
+    +-0.5 around a single value on a linear axis, and at least
+    [lo, 1.0001 lo] on a log axis."""
+    allv = np.concatenate(vals) if vals else np.array([0.1 if log else 0.0, 1.0])
     if allv.size == 0:
         allv = np.array([0.1, 1.0])
     lo, hi = float(np.min(allv)), float(np.max(allv))

@@ -119,6 +119,8 @@ def _libm_pow(eps, e: float):
 
 _RAY_SUMS = ("bracket_u", "bracket_v", "coupling_mass", "log_coupling",
              "coupling_high", "log_coupling_high")
+# the Nehari variants, the default first
+PSI_VARIANTS = ("consistent", "printed")
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ class FiberingRay:
         return k_eval(self.K_p, A) * (p * A) + k_eval(self.K_q, B) * (q * B) - 2.0 * high
 
     def psi(self, eps: float, variant: str = "consistent") -> float:
-        if variant not in ("consistent", "printed"):
+        if variant not in PSI_VARIANTS:
             raise ValueError(f"unknown psi variant {variant!r}")
         return getattr(self, "psi_" + variant)(eps)
 

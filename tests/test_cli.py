@@ -130,6 +130,7 @@ class TestConfig:
         ("integrator", "t_end", -1), ("integrator", "t_end", None),
         ("integrator", "rtol", "1e-8"),
         ("integrator", "t_end", math.inf), ("integrator", "rtol", math.inf),
+        ("integrator", "dt_min", 1e-3), ("integrator", "dt_max", 1e-14),
         ("well_depth", "directions", -1), ("well_depth", "directions", 2.5),
         ("well_depth", "modes", 0), ("well_depth", "refine_iters", -3),
     ])

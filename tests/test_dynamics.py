@@ -245,11 +245,12 @@ class TestIntegrate:
         assert maxabs_u[-1] > 10 * maxabs_u[0]
 
     def test_step_underflow_without_growth(self, grid32, flagship_params, unit_kirchhoff):
-        # a dt floor far above anything acceptable stalls the run immediately
+        # a first step at a dt floor far above anything acceptable is rejected
+        # and stalls the run immediately
         u0 = sample_field(grid32, "sine", 0.5)
         trace = integrate(u0, u0, flagship_params, unit_kirchhoff, unit_kirchhoff,
-                          IntegratorControls(t_end=1.0, rtol=1e-12, dt_init=1e-4,
-                                             dt_min=0.5))
+                          IntegratorControls(t_end=1.0, rtol=1e-12, dt_init=0.1,
+                                             dt_min=0.1))
         assert trace.outcome.kind == "StepUnderflow"
 
     def test_first_row_is_the_energy_report_bitwise(self, grid32, flagship_params):

@@ -1,8 +1,8 @@
 """Byte pins of the plots and field CSVs that ``fracwell simulate`` writes, and
-of ``plot_svg`` on inputs the example configs do not reach: no series, a log
-axis with no positive value, one point, a log range narrower than 1.0001 or
-of one subnormal value, NaN points, and marks outside the range or
-non-positive on a log axis."""
+of ``plot_svg`` on inputs the example configs do not reach: no series on a
+linear or a log axis, a log axis with no positive value, one point, a log
+range narrower than 1.0001 or of one subnormal value, NaN points, and marks
+outside the range or non-positive on a log axis."""
 
 import hashlib
 from pathlib import Path
@@ -54,6 +54,12 @@ GOLDEN_SIMULATE_SHA256 = {
 PLOT_CASES = {
     "no-series": (dict(series=[]),
                   "a03c09a00a29e34d96540fc744a3c35ffc4eed3a5f00a3489d12c084e317a1ef"),
+    # the two log cases were recorded once a log axis with no series took the
+    # range [0.1, 1]: with [0, 1] its log10 raised ValueError
+    "no-series-xlog": (dict(series=[], xlog=True),
+                       "fa92ecf7ea618ee52a362b4b91c98a224c1813f64d604c5c68602fb8df10aa74"),
+    "no-series-ylog": (dict(series=[], ylog=True),
+                       "89b3b1374348d5b0c9f61d8eff1ee6dcc479059e2d71f8742e7da8f5bc925800"),
     "log-no-positive": (
         dict(series=[Series([1.0, 2.0, 3.0], [-1.0, 0.0, -2.0], "neg")], ylog=True),
         "c95e423402990e2b4958870ef861db5aa3ce5c1d82cb6810fa1c081e1b46f772"),
