@@ -28,8 +28,7 @@ from .variational import (
 )
 from .dynamics import (
     ConcavityReport, DecayFit, Flow, IntegratorControls, RunOutcome, SimTrace,
-    concavity_diagnostic, decay_fit, energy_identity_residual,
-    fit_decay, integrate, rhs, tail_decay_check,
+    concavity_diagnostic, decay_fit, fit_decay, integrate, rhs, tail_decay_check,
 )
 from .config import ConfigError, ExperimentConfig
 

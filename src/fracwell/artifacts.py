@@ -17,13 +17,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import SimTrace, energy_identity_residual
+from .dynamics import SimTrace
 from .grids import GridField
 from .variational import WellEstimate
 
-# the trace's columns without the squared rates |u_t|^2, |v_t|^2, then the residual
-TRACE_COLUMNS = tuple(
-    c for c in SimTrace.COLUMNS if c not in ("ut_sq", "vt_sq")) + ("residual",)
+# the trace's columns without the squared rates |u_t|^2, |v_t|^2
+TRACE_COLUMNS = tuple(c for c in SimTrace.COLUMNS if c not in ("ut_sq", "vt_sq"))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -82,9 +81,7 @@ def write_field_csv(path: str | Path, field: GridField) -> None:
 
 
 def write_trace_csv(path: str | Path, trace: SimTrace) -> None:
-    resid = energy_identity_residual(trace).series if len(trace) >= 2 else np.zeros(1)
-    cols = dict(trace.columns, residual=resid)
-    atomic_write_text(path, _csv_text(TRACE_COLUMNS, zip(*(cols[c] for c in TRACE_COLUMNS))))
+    atomic_write_text(path, _csv_text(TRACE_COLUMNS, zip(*(trace[c] for c in TRACE_COLUMNS))))
 
 
 def write_fibering_csv(path: str | Path, cols: dict[str, np.ndarray]) -> None:

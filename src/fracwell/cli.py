@@ -27,6 +27,10 @@ EXIT_RUNTIME = 2
 EXIT_VALIDATE = 3
 EXIT_BLOWUP = 10
 
+# the fibering scan's eps range and point count: the fibering command's
+# defaults, and the scan that simulate writes
+FIBERING_SCAN = (1e-2, 1e2, 121)
+
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
@@ -128,16 +132,13 @@ def cmd_simulate(args) -> int:
         },
         "well_depth": {"d": est.d, "samples": est.sample_count,
                        "bracketing_failures": est.bracketing_failures},
-        "residual_max_abs": (
-            dynamics.energy_identity_residual(trace).max_abs
-            if len(trace) >= 2 else 0.0
-        ),
+        "residual_max_abs": float(np.max(np.abs(trace["residual"]))),
     }
     artifacts.write_json(run_dir / "summary.json", summary)
     _emit_plots(run_dir, trace)
     if u0.max_abs() > 0.0 or v0.max_abs() > 0.0:  # a zero pair has no fibering ray
-        lo, hi = 1e-2, 1e2
-        _fibering_artifacts(run_dir, cfg, ray, lo, hi, _fibering_scan(ray, lo, hi, 121))
+        lo, hi, count = FIBERING_SCAN
+        _fibering_artifacts(run_dir, cfg, ray, lo, hi, _fibering_scan(ray, lo, hi, count))
 
     print(f"outcome: {trace.outcome.kind} at t={trace.outcome.t:.6g} "
           f"(verdict {cls.verdict}); artifacts in {run_dir}")
@@ -265,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fibering", help="scan the fibering ray of the initial pair")
     common(sp)
-    sp.add_argument("--eps-min", type=float, default=1e-2)
-    sp.add_argument("--eps-max", type=float, default=1e2)
-    sp.add_argument("--points", type=int, default=121)
+    lo, hi, points = FIBERING_SCAN
+    sp.add_argument("--eps-min", type=float, default=lo)
+    sp.add_argument("--eps-max", type=float, default=hi)
+    sp.add_argument("--points", type=int, default=points)
     sp.set_defaults(fn=cmd_fibering)
 
     sp = sub.add_parser("well-depth", help="sample the well depth estimate")

@@ -10,8 +10,8 @@ Schema (all keys required unless noted):
                    | {"kind": "log1p", "beta"?}
                    | {"kind": "table", "z", "k", "beta"?},
       "kirchhoff_q": {...},
-      "initial_u":   {"preset", "amplitude"},
-      "initial_v":   {"preset", "amplitude"},
+      "initial_u":   {"preset", "amplitude"?},
+      "initial_v":   {"preset", "amplitude"?},
       "integrator":  {"t_end", "dt_init"?, "dt_min"?, "rtol"?,
                       "blowup_threshold"?, "dt_max"?},
       "psi_variant": "consistent" | "printed",
@@ -62,19 +62,30 @@ class ConfigError(ValueError):
 _KIRCHHOFF_KINDS = {"affine_power": (KirchhoffFn.affine_power, {"a": 1.0, "b": 0.0, "c": 1.0}),
                     "log1p": (KirchhoffFn.log1p, {}),
                     "table": (KirchhoffFn.from_table, {"z": None, "k": None})}
+# an initial-data block's keys, filled from these defaults; a missing
+# "preset" reads as null, which sample_field rejects
+_INITIAL = {"preset": None, "amplitude": 1.0}
 # the blocks of a config in field order, each with the keys it allows: any
 # for the params block (None), which validate_params checks when it is built;
-# those of its kind for a Kirchhoff block; and for the integrator and
-# well_depth blocks, the keys of the defaults they are filled from
+# those of its kind for a Kirchhoff block; and for the initial-data,
+# integrator and well_depth blocks, the keys of the defaults they are filled from
 _BLOCKS = {"params": None, "grid": ("extents", "counts"),
            "kirchhoff_p": _KIRCHHOFF_KINDS, "kirchhoff_q": _KIRCHHOFF_KINDS,
-           "initial_u": ("preset", "amplitude"), "initial_v": ("preset", "amplitude"),
+           "initial_u": _INITIAL, "initial_v": _INITIAL,
            # a missing "t_end" reads as null, which IntegratorControls rejects
            "integrator": {f.name: None if f.default is MISSING else f.default
                           for f in fields(IntegratorControls)},
            "well_depth": {"directions": 200, "modes": 6, "refine_iters": 0}}
 # the config keys that may be left out, with their defaults
 _OPTIONAL = {"psi_variant": PSI_VARIANTS[0], "well_depth": {}}
+
+
+def _kirchhoff_kind(block: dict, name: str):
+    """The kind of a Kirchhoff block, with its constructor and keys."""
+    kind = block.get("kind")
+    if not isinstance(kind, str) or kind not in _KIRCHHOFF_KINDS:
+        raise ConfigError(f"unknown Kirchhoff kind {kind!r} in {name}")
+    return kind, *_KIRCHHOFF_KINDS[kind]
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -117,7 +128,7 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"config 'output_dir' must be a string, got {self.output_dir!r}")
         for name in ("initial_u", "initial_v"):
-            amp = getattr(self, name).get("amplitude", 1.0)
+            amp = getattr(self, name)["amplitude"]
             if not isinstance(amp, numbers.Real) or not math.isfinite(amp):
                 raise ConfigError(f"{name} 'amplitude' must be a finite number, got {amp!r}")
 
@@ -145,10 +156,8 @@ class ExperimentConfig:
         for name, allowed in _BLOCKS.items():
             where = name
             if allowed is _KIRCHHOFF_KINDS:
-                kind = raw[name].get("kind")
-                if kind not in allowed:
-                    raise ConfigError(f"unknown Kirchhoff kind {kind!r} in {name}")
-                allowed, where = ("kind", "beta", *allowed[kind][1]), f"{name} ({kind})"
+                kind, _, keys = _kirchhoff_kind(raw[name], name)
+                allowed, where = ("kind", "beta", *keys), f"{name} ({kind})"
             elif isinstance(allowed, dict):
                 raw[name] = {**allowed, **raw[name]}
             if allowed is not None:
@@ -191,13 +200,10 @@ class ExperimentConfig:
             raise ConfigError(f"invalid grid block: {exc}") from exc
 
     def _build_kfn(self, name: str, beta_default: float) -> KirchhoffFn:
-        blk = dict(getattr(self, name))
-        kind = blk.pop("kind", None)
-        beta = blk.pop("beta", beta_default)
+        blk = getattr(self, name)
+        _, make, keys = _kirchhoff_kind(blk, name)
+        beta = blk.get("beta", beta_default)
         try:
-            if kind not in _KIRCHHOFF_KINDS:
-                raise ConfigError(f"unknown Kirchhoff kind {kind!r}")
-            make, keys = _KIRCHHOFF_KINDS[kind]
             return make(**{k: blk[k] if d is None else blk.get(k, d) for k, d in keys.items()},
                         beta=beta)
         except (KeyError, ValueError) as exc:
@@ -210,7 +216,7 @@ class ExperimentConfig:
     def build_initial_pair(self, grid: GridDomain) -> tuple[GridField, GridField]:
         def one(block: dict) -> GridField:
             try:
-                return sample_field(grid, block["preset"], float(block.get("amplitude", 1.0)))
+                return sample_field(grid, block["preset"], float(block["amplitude"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid initial-data block: {exc}") from exc
         return one(self.initial_u), one(self.initial_v)

@@ -205,14 +205,15 @@ class SimTrace:
     accepted step, the first at t = 0.  ``ut_sq`` and ``vt_sq`` are
     |u_t|_2^2 and |v_t|_2^2 from the evaluated right-hand side; ``D`` is the
     cumulative dissipation integral of their sum, accumulated per step with
-    the integrator's fifth-order stage weights.  It is non-decreasing, +inf
-    from the first step whose increment is not finite (never NaN), and
-    enters the energy-identity residual.
+    the integrator's fifth-order stage weights.  It is non-decreasing and
+    +inf from the first step whose increment is not finite (never NaN).
+    ``residual`` is the energy-identity residual D + phi - phi[0], with the
+    first row 0.0 exactly, even where phi[0] is not finite.
     """
 
     COLUMNS = ("t", "dt", "phi", "psi_consistent", "psi_printed", "bracket_u",
                "bracket_v", "coupling_mass", "log_coupling", "l2_u", "l2_v",
-               "maxabs_u", "maxabs_v", "D", "ut_sq", "vt_sq")
+               "maxabs_u", "maxabs_v", "D", "ut_sq", "vt_sq", "residual")
 
     columns: dict[str, np.ndarray]
     outcome: RunOutcome
@@ -285,8 +286,11 @@ def integrate(
         cols = dict(zip(_ROW, map(np.array, zip(*rows))))
         ray = FiberingRay(params, K_p, K_q, **{name: cols[name] for name in _RAY_SUMS})
         ones = np.ones(len(rows))
-        cols.update(phi=ray.phi(ones), psi_consistent=ray.psi_consistent(ones),
-                    psi_printed=ray.psi_printed(ones))
+        phi = ray.phi(ones)
+        residual = cols["D"] + phi - phi[0]
+        residual[0] = 0.0
+        cols.update(phi=phi, psi_consistent=ray.psi_consistent(ones),
+                    psi_printed=ray.psi_printed(ones), residual=residual)
         return SimTrace({name: cols[name] for name in SimTrace.COLUMNS},
                         RunOutcome(kind, t, trigger), params)
 
@@ -336,27 +340,6 @@ def integrate(
             return finish("StepUnderflow", t)
 
     return finish("CompletedHorizon", t)
-
-
-# ---------------------------------------------------------------------------
-# dissipation identity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualSummary:
-    series: np.ndarray
-    max_abs: float
-    max_positive: float
-
-
-def energy_identity_residual(trace: SimTrace) -> ResidualSummary:
-    """Residual series r(t) = D(t) + phi(t) - phi(0) along a trace."""
-    if len(trace) < 2:
-        raise ValueError("residual needs at least two records")
-    phis = trace["phi"]
-    r = trace["D"] + phis - phis[0]
-    return ResidualSummary(series=r, max_abs=float(np.max(np.abs(r))),
-                           max_positive=float(max(np.max(r), 0.0)))
 
 
 # ---------------------------------------------------------------------------

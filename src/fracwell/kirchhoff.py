@@ -251,14 +251,12 @@ def scaling_suite(K: KirchhoffFn, beta: float, mu: float, z: float) -> list[Scal
     hatz = k_antideriv(K, z)
     hatmuz = k_antideriv(K, mu * z)
 
-    def entry(name, applicable, lhs, rhs, strict=False):
-        # checks lhs <= rhs (or lhs < rhs when strict)
+    def entry(name, applicable, lhs, rhs):
+        # checks lhs <= rhs
         if not applicable:
             return ScalingCheck(name, False, True, 0.0)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        resid = (lhs - rhs) / scale
-        ok = resid <= SLACK and (not strict or rhs > 0)
-        return ScalingCheck(name, True, bool(ok), float(resid))
+        resid = (lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        return ScalingCheck(name, True, bool(resid <= SLACK), float(resid))
 
     checks = [
         entry("k_scale_lower", mu <= 1.0, mu ** beta * kz, kmuz),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ def _ticks(lo, hi, log):
             step *= m
             break
     first = math.ceil(lo / step) * step
-    return list(np.arange(first, hi + 0.5 * step, step))
+    return list(np.arange(first, min(hi + 0.5 * step, sys.float_info.max), step))
 
 
 def _axis(vals: list[np.ndarray], log: bool, px_lo: float, px_hi: float):
@@ -40,8 +41,9 @@ def _axis(vals: list[np.ndarray], log: bool, px_lo: float, px_hi: float):
     map of data values (scalar or array) to pixels, and the (value, pixel) of
     each tick in the range.  The range is [0, 1] with no series on a linear
     axis, [0.1, 1] with no series on a log axis or when no point was kept,
-    +-0.5 around a single value on a linear axis, and at least
-    [lo, 1.0001 lo] on a log axis."""
+    +-0.5 around a single value on a linear axis (+-1e-6 of its magnitude
+    where 0.5 is below the spacing of floats there, from about 1e16 up), and
+    at least [lo, 1.0001 lo] on a log axis."""
     allv = np.concatenate(vals) if vals else np.array([0.1 if log else 0.0, 1.0])
     if allv.size == 0:
         allv = np.array([0.1, 1.0])
@@ -49,7 +51,8 @@ def _axis(vals: list[np.ndarray], log: bool, px_lo: float, px_hi: float):
     if log:
         hi = max(hi, lo * 1.0001)
     elif lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
+        w = 0.5 if lo - 0.5 < hi + 0.5 else 1e-6 * abs(lo)
+        lo, hi = max(lo - w, -sys.float_info.max), min(hi + w, sys.float_info.max)
     a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
     if b <= a:
         b = a + 1.0

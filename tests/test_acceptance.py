@@ -23,7 +23,7 @@ import pytest
 from fracwell import (
     FiberingRay, GridField, IntegratorControls, KirchhoffFn, apply_operator,
     bilinear_form, bracket, build_grid, classify_initial_data,
-    decay_fit, energy_identity_residual, estimate_well_depth,
+    decay_fit, estimate_well_depth,
     gagliardo_sum, inner, integrate,
     sample_field, tail_decay_check, validate_params,
 )
@@ -180,7 +180,7 @@ def test_criterion_5_residual_refinement(params, K):
     res, res_trap = [], []
     for rt in rtols:
         trace = _decay_run(rt, grid, params, K)
-        res.append(energy_identity_residual(trace).max_abs)
+        res.append(float(np.max(np.abs(trace["residual"]))))
         g = trace["ut_sq"] + trace["vt_sq"]
         D_trap = np.concatenate(
             [[0.0], np.cumsum(0.5 * np.diff(trace["t"]) * (g[1:] + g[:-1]))])

@@ -251,6 +251,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown Kirchhoff kind"):
             ExperimentConfig.load(path).build_kirchhoff()
 
+    @pytest.mark.parametrize("command", ["simulate", "classify", "fibering", "well-depth"])
+    @pytest.mark.parametrize("block", ["kirchhoff_p", "kirchhoff_q"])
+    @pytest.mark.parametrize("kind", [[1], {}])
+    def test_kirchhoff_kind_that_is_not_a_string_fails_by_name(self, tmp_path, capsys,
+                                                               command, block, kind):
+        # a list or an object was looked up in the kinds' dict: a TypeError
+        path = make_config(tmp_path, **{block: {"kind": kind}})
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: unknown Kirchhoff kind {kind!r} in {block}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_amplitude_defaults_to_one(self, tmp_path, capsys):
+        digests = {}
+        for label, block in (("explicit", {"preset": "sine", "amplitude": 1.0}),
+                             ("default", {"preset": "sine"})):
+            (tmp_path / label).mkdir()
+            path = make_config(tmp_path / label, t_end=0.2, initial_u=block,
+                               initial_v=dict(block, preset="bump"))
+            assert main(["simulate", "--config", str(path)]) == 0
+            run_dir = tmp_path / label / "out" / "run-seed3"
+            digests[label] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                              for f in run_dir.iterdir()}
+        assert len(digests["default"]) == 10
+        assert digests["default"] == digests["explicit"]
+
 
 class TestClassifyCommand:
     def test_json_output_and_determinism(self, tmp_path, capsys):
@@ -325,6 +351,21 @@ class TestSimulateCommand:
         pair = summary["bound_comparisons"]["t_detect_vs_t_max_bound"]
         assert pair["t_detect"] is not None and pair["t_max_bound"] is not None
         assert pair["t_detect"] <= pair["t_max_bound"]
+
+    def test_one_row_blowup_writes_every_artifact(self, tmp_path, capsys):
+        # amplitude 1e8 ends at t = 0 with one row and phi0 = -2.49e64, a
+        # single value on phi_linear.svg's axis
+        raw = json.loads((CONFIGS / "blowup.json").read_text())
+        for name in ("initial_u", "initial_v"):
+            raw[name]["amplitude"] = 1e8
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 10
+        run_dir = tmp_path / "out" / "run-seed1"
+        assert len((run_dir / "trace.csv").read_text().splitlines()) == 2
+        assert sorted(f.name for f in run_dir.iterdir()) == [
+            "fibering.csv", "fibering.svg", "initial_u.csv", "initial_v.csv", "mass.svg",
+            "outcome.json", "phi_linear.svg", "phi_log.svg", "summary.json", "trace.csv"]
 
     def test_one_ray_serves_classification_and_fibering(self, tmp_path, capsys, monkeypatch):
         # the initial pair's ray gives d*, phi0 and psi0, and is then scanned
@@ -582,6 +623,24 @@ def test_simulate_artifacts_match_golden_hashes(tmp_path, capsys, name):
     digests = tuple(hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
                     for f in ("trace.csv", "summary.json", "outcome.json", "fibering.csv"))
     assert digests == GOLDEN_SHA256[name]
+
+
+def test_one_row_simulate_matches_golden_hashes(tmp_path, capsys):
+    # SHA-256 of trace.csv, summary.json and outcome.json for configs/blowup.json
+    # with both amplitudes 12: one row with a finite phi0, recorded before the
+    # residual became a trace column (numpy 2.4.6, Python 3.11, x86-64 Linux)
+    raw = json.loads((CONFIGS / "blowup.json").read_text())
+    for name in ("initial_u", "initial_v"):
+        raw[name]["amplitude"] = 12
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 10
+    run_dir = tmp_path / "out" / "run-seed1"
+    assert tuple(hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
+                 for f in ("trace.csv", "summary.json", "outcome.json")) == (
+        "e070fe4d7362835500e595ea1c72dd666355e4b82bdce594c3e13f51ee77ced9",
+        "537aa1d106042f783521cbc487deed3934aa7965ba2f3fedb849b8d06c6fb153",
+        "a2aae03a0e7cda5189b7065f4149a7a81e8a2b0fffeaceeb33c80a73b9609366")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WELL_SAMPLES_SHA256))

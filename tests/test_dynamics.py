@@ -10,7 +10,7 @@ import pytest
 from fracwell import (
     ExperimentConfig, FiberingRay, Flow, GridField, IntegratorControls, KirchhoffFn,
     apply_operator, build_grid, concavity_diagnostic, decay_fit, discrete_norm, dynamics,
-    energy_identity_residual, fit_decay, fracops, inner, integrate, k_eval, rhs,
+    fit_decay, fracops, inner, integrate, k_eval, rhs,
     sample_field, tail_decay_check, validate_params,
 )
 from fracwell.dynamics import RunOutcome
@@ -312,15 +312,13 @@ class TestEnergyIdentity:
         z = GridField(grid32, np.zeros(32))
         trace = integrate(z, z, flagship_params, unit_kirchhoff, unit_kirchhoff,
                           IntegratorControls(t_end=1.0))
-        assert energy_identity_residual(trace).max_abs == 0.0
+        assert np.max(np.abs(trace["residual"])) == 0.0
 
     def test_residual_within_budget(self, grid48, flagship_params, unit_kirchhoff):
         u0 = sample_field(grid48, "sine", 0.8)
         trace = integrate(u0, u0, flagship_params, unit_kirchhoff, unit_kirchhoff,
                           IntegratorControls(t_end=5.0, rtol=1e-8))
-        summary = energy_identity_residual(trace)
-        assert summary.max_abs <= 1e-5 * (1.0 + abs(trace["phi"][0]))
-        assert summary.max_positive <= summary.max_abs
+        assert np.max(np.abs(trace["residual"])) <= 1e-5 * (1.0 + abs(trace["phi"][0]))
 
     def test_residual_improves_under_refinement(self, grid32, flagship_params,
                                                 unit_kirchhoff):
@@ -331,7 +329,7 @@ class TestEnergyIdentity:
         for rtol in (1e-6, 1e-6 / 16.0):
             trace = integrate(u0, u0, flagship_params, unit_kirchhoff, unit_kirchhoff,
                               IntegratorControls(t_end=3.0, rtol=rtol))
-            res.append(energy_identity_residual(trace).max_abs)
+            res.append(np.max(np.abs(trace["residual"])))
         assert res[1] < res[0] / 10.0
 
 

@@ -111,6 +111,16 @@ def test_plot_svg_matches_golden_hash(tmp_path, name):
     assert _sha256(tmp_path / "plot.svg") == digest
 
 
+@pytest.mark.parametrize("value", [1e16, 1e64, -2.5e64])
+def test_one_large_value_gets_a_range(tmp_path, value):
+    # +-0.5 is below the spacing of floats from about 1e16 up: it left the
+    # range empty, and the tick step took log10(0)
+    plot_svg(tmp_path / "plot.svg", [Series([0.0], [value], "one")])
+    text = (tmp_path / "plot.svg").read_text()
+    assert '<polyline points="385.00,232.00"' in text      # the centre of the frame
+    assert text.count('text-anchor="end"') >= 2              # y ticks in the range
+
+
 def test_two_d_field_csv_matches_golden_hash(tmp_path):
     field = sample_field(build_grid([1.0, 1.0], [3, 3]), "bump", 0.7)
     write_field_csv(tmp_path / "field.csv", field)

@@ -83,6 +83,8 @@ def reference_integrate(u0, v0, params, K_p, K_q, controls, calls):
         ones = np.ones(len(rows))
         cols.update(phi=ray.phi(ones), psi_consistent=ray.psi_consistent(ones),
                     psi_printed=ray.psi_printed(ones))
+        cols["residual"] = cols["D"] + cols["phi"] - cols["phi"][0]
+        cols["residual"][0] = 0.0
         return SimTrace({name: cols[name] for name in SimTrace.COLUMNS},
                         RunOutcome(kind, t, trigger), params)
 
