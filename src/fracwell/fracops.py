@@ -36,20 +36,20 @@ the last bits, and the adaptive step controller amplifies ulp changes in K(A)
 into the step size.  Every output is therefore bit-identical to the separate
 passes.
 
-Two fields, two cores: ``pair_values`` runs the passes of u and v, which
-share no data, side by side.  v's pass goes to one daemon worker thread,
-started on first use, while the calling thread runs u's; numpy releases the
-interpreter lock inside each ufunc, so the two overlap.  The worker is used
-from ``_THREADED_MIN_NODES`` nodes on and only when the process may run on
-two CPUs; below that the handoff costs more than it saves and the two passes
-run one after the other.  Each pass runs the same ufuncs in the same order
-either way, so the results are bit-identical.  A stack goes over as one job,
-whatever its length, and each thread walks its own stack in pieces.
+One thread: ``pair_values`` runs the passes of u and v one after the other
+on the calling thread.  Handing v's pass to a worker thread saved nothing on
+a 2-vCPU Xeon VM (numpy 2.4.6): with the passes below, the M = 256 simulate
+benchmark took a median 0.236 s on one thread against 0.252 s with the
+worker (8 of 8 alternating pairs won by one thread), though two threads of
+bare ``np.power`` ran 1.4-1.9x as fast as one there.  Each pass builds d from
+a row copy and a row-broadcast subtract, forms |d|^(p-1) with d's sign as
+|d| d when p - 1 == 2.0 (``np.power`` squares there) and otherwise copies
+the sign bit on int64 views; every rewrite is exact, so the results equal
+the textbook expressions bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from functools import lru_cache
 from typing import NamedTuple
@@ -116,8 +116,8 @@ def _pass_buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
     passes write into: M x M for one field, k x M x M for a stack of k.
 
     Each thread has its own workspace, reallocated only when the shape
-    changes, so a thread holds at most one pass's peak and ``pair_values``
-    can run one pass on each of two threads.  Fresh buffers per pass would let
+    changes, so a thread holds at most one pass's peak and callers on
+    different threads never share a buffer.  Fresh buffers per pass would let
     the allocator return and re-fault their pages on every call.
     """
     buffers = getattr(_local, "buffers", None)
@@ -126,6 +126,18 @@ def _pass_buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
     while len(buffers) < count:
         buffers.append(np.empty(shape))
     return buffers
+
+
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+
+
+def _copy_sign(t: np.ndarray, d: np.ndarray) -> None:
+    """Write copysign(t, d) into d, for t with a clear sign bit (t = |d|^r):
+    d's sign bit OR t's bits, on int64 views, which is cheaper than
+    np.copysign and equal to it wherever t is not NaN."""
+    bits = d.view(np.int64)
+    np.bitwise_and(bits, _SIGN_BIT, out=bits)
+    np.bitwise_or(bits, t.view(np.int64), out=bits)
 
 
 # A stacked pass's difference table takes at most this many bytes, under
@@ -146,7 +158,9 @@ def _dense_pass(
     textbook expressions sum |d|^p W h^(2N) and
     2 h^N sum_j sign(d)|d|^(p-1) W, so every result is equal to them; the
     operator's terms are formed as copysign(|d|^(p-1), d), which can differ
-    from sign(d)|d|^(p-1) only in the sign of an exact zero.
+    from sign(d)|d|^(p-1) only in the sign of an exact zero.  Both the
+    row-broadcast subtract that builds d and the two forms of that copysign
+    (``_copy_sign``, and |d| d where p - 1 == 2.0) are exact rewrites.
 
     ``values`` of shape (k, M) is a stack of k fields: each output then has
     one row (one sum) per field, each equal bit for bit to the field's own
@@ -165,7 +179,8 @@ def _dense_pass(
     buffers = _pass_buffers(values.shape[:-1] + (m, m), 2 if operator else 1)
     d = buffers[0]
     t = buffers[1] if operator else d   # d itself is only needed for |d|
-    np.subtract(values[..., :, None], values[..., None, :], out=d)
+    d[...] = values[..., :, None]
+    np.subtract(d, values[..., None, :], out=d)
     gag = out = None
     if seminorm:
         np.abs(d, out=t)
@@ -176,57 +191,21 @@ def _dense_pass(
             gag = float(gag)
     if operator:
         np.abs(d, out=t)
-        np.power(t, p - 1.0, out=t)
-        np.copysign(t, d, out=d)
+        if p - 1.0 == 2.0:      # np.power(|d|, 2.0) is |d| |d|, so its copysign is |d| d
+            d *= t
+        else:
+            np.power(t, p - 1.0, out=t)
+            _copy_sign(t, d)
         d *= W
         out = 2.0 * hN * np.add.reduce(d, axis=-1)
     return out, gag
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# v's pass goes to the worker thread from this node count on.  Handing a pass
-# over costs two thread wake-ups (about 30 us each); the threaded pair takes
-# 2.1x the serial time at M=48, 1.1x at M=96, 0.94x at M=128, 0.65x at M=256
-# and 0.63x at M=1024 (operator and bracket, p=3, q=3.5, 2-vCPU Xeon VM,
-# numpy 2.4.6).  With a single usable CPU the two threads could only take turns.
-_THREADED_MIN_NODES = 128 if _usable_cpus() >= 2 else float("inf")
-
-
 def peak_bytes(node_count: int) -> int:
     """Bytes the kernel holds at its peak on a grid of ``node_count`` nodes:
-    a weight table per exponent and two M x M pass buffers per thread, with
-    two threads from ``_THREADED_MIN_NODES`` nodes on."""
-    threads = 2 if node_count >= _THREADED_MIN_NODES else 1
-    return 8 * node_count ** 2 * (2 + 2 * threads)
-
-
-_worker = None                  # (jobs, results) queues of the pass worker thread
-_worker_lock = threading.Lock()
-
-
-def _serve(jobs, results) -> None:
-    while True:
-        *args, errstate = jobs.get()     # a pass's arguments, then np.geterr()
-        try:
-            with np.errstate(**errstate):
-                results.put((_dense_pass(*args), None))
-        except Exception as exc:    # raised again on the caller
-            results.put((None, exc))
-
-
-def _forget_worker() -> None:
-    # a forked child has no worker thread, whatever its parent had
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    a weight table per exponent and the calling thread's two M x M pass
+    buffers."""
+    return 8 * node_count ** 2 * (2 + 2)
 
 
 def pair_values(
@@ -235,36 +214,14 @@ def pair_values(
 ) -> tuple[tuple[np.ndarray | None, float | np.ndarray | None],
            tuple[np.ndarray | None, float | np.ndarray | None]]:
     """The dense passes of u (kernel ku) and v (kernel kv) on nodal values,
-    side by side; uu and vv may be stacks of fields of any (equal) length.
+    one after the other; uu and vv may be stacks of fields of any length.
 
     Returns ``(_dense_pass(uu, ku, operator, seminorm),
-    _dense_pass(vv, kv, operator, seminorm))``, bit for bit: per field,
-    the operator values (None unless ``operator``) and the Gagliardo sum
-    (None unless ``seminorm``).
-    From ``_THREADED_MIN_NODES`` nodes on, v's pass, its whole stack, runs on
-    the worker thread while the caller runs u's, under the caller's
-    ``np.errstate``, which a thread does not inherit; an exception raised
-    there is raised here.
+    _dense_pass(vv, kv, operator, seminorm))``: per field, the operator
+    values (None unless ``operator``) and the Gagliardo sum (None unless
+    ``seminorm``).
     """
-    global _worker
-    args_u, args_v = (uu, ku, operator, seminorm), (vv, kv, operator, seminorm)
-    if uu.shape[-1] < _THREADED_MIN_NODES:
-        return _dense_pass(*args_u), _dense_pass(*args_v)
-    with _worker_lock:      # one caller at a time: results come back in order
-        if _worker is None:
-            from _queue import SimpleQueue    # loaded on first use, not at import
-            _worker = SimpleQueue(), SimpleQueue()
-            threading.Thread(target=_serve, args=_worker, name="fracops-pair-pass",
-                             daemon=True).start()
-        jobs, results = _worker
-        jobs.put(args_v + (np.geterr(),))
-        try:
-            ru = _dense_pass(*args_u)
-        finally:
-            rv, exc = results.get()
-    if exc is not None:
-        raise exc
-    return ru, rv
+    return _dense_pass(uu, ku, operator, seminorm), _dense_pass(vv, kv, operator, seminorm)
 
 
 def gagliardo_sum(u: GridField, p: float, s: float) -> float:

@@ -38,7 +38,7 @@ def _ticks(lo, hi, log):
 
 def _axis(vals: list[np.ndarray], log: bool, px_lo: float, px_hi: float):
     """One axis from the kept points of every series: its range lo, hi, the
-    map of data values (scalar or array) to pixels, and the (value, pixel) of
+    map of data values (scalar or array) to pixels, and the (label, pixel) of
     each tick in the range.  The range is [0, 1] with no series on a linear
     axis, [0.1, 1] with no series on a log axis or when no point was kept,
     +-0.5 around a single value on a linear axis (+-1e-6 of its magnitude
@@ -62,15 +62,27 @@ def _axis(vals: list[np.ndarray], log: bool, px_lo: float, px_hi: float):
         return px_lo + ((np.log10(v) if log else v) - a) * (px_hi - px_lo) / (b - a)
 
     ticks = [tv for tv in _ticks(lo, hi, log) if lo <= tv <= hi * (1 + 1e-12)]
-    return lo, hi, to_px, list(zip(ticks, to_px(ticks).tolist()))
+    return lo, hi, to_px, list(zip(_labels(ticks), to_px(ticks).tolist()))
 
 
-def _fmt(v):
+def _fmt(v, extra=0):
+    """A tick label: %.1e from 1e4 up and below 1e-3, %.4g between, each
+    with ``extra`` more digits."""
     if v == 0:
         return "0"
     if abs(v) >= 1e4 or abs(v) < 1e-3:
-        return f"{v:.1e}"
-    return f"{v:.4g}"
+        return f"{v:.{1 + extra}e}"
+    return f"{v:.{4 + extra}g}"
+
+
+def _labels(ticks):
+    """An axis's tick labels, with the fewest extra digits that keep them
+    distinct (17 significant digits tell any two doubles apart)."""
+    for extra in range(16):
+        labels = [_fmt(v, extra) for v in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def plot_svg(
@@ -107,12 +119,12 @@ def plot_svg(
     ]
     if title:
         out.append(f'<text x="{_W/2}" y="{_MT-12}" text-anchor="middle">{title}</text>')
-    for tv, px in xticks:
+    for label, px in xticks:
         out.append(f'<line x1="{px:.1f}" y1="{_H-_MB}" x2="{px:.1f}" y2="{_H-_MB+5}" stroke="#444"/>')
-        out.append(f'<text x="{px:.1f}" y="{_H-_MB+18}" text-anchor="middle">{_fmt(tv)}</text>')
-    for tv, py in yticks:
+        out.append(f'<text x="{px:.1f}" y="{_H-_MB+18}" text-anchor="middle">{label}</text>')
+    for label, py in yticks:
         out.append(f'<line x1="{_ML-5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="#444"/>')
-        out.append(f'<text x="{_ML-8}" y="{py+4:.1f}" text-anchor="end">{_fmt(tv)}</text>')
+        out.append(f'<text x="{_ML-8}" y="{py+4:.1f}" text-anchor="end">{label}</text>')
     if xlabel:
         out.append(f'<text x="{_W/2}" y="{_H-12}" text-anchor="middle">{xlabel}</text>')
     if ylabel:

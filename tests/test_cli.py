@@ -236,10 +236,9 @@ class TestConfig:
         assert "config error" in err and "[36]" in err and f"{need} bytes" in err
         assert not (tmp_path / "out").exists()
 
-    def test_peak_bytes_counts_two_tables_and_the_pass_buffers(self, monkeypatch):
-        monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 128)
-        assert fracops.peak_bytes(127) == 8 * 127 ** 2 * (2 + 2)        # one thread
-        assert fracops.peak_bytes(128) == 8 * 128 ** 2 * (2 + 4)        # two threads
+    def test_peak_bytes_counts_two_tables_and_the_pass_buffers(self):
+        for m in (8, 127, 128, 256, 1024):                  # one thread at every M
+            assert fracops.peak_bytes(m) == 8 * m ** 2 * (2 + 2)
         assert cli._physical_memory() > fracops.peak_bytes(1024)
 
     def test_zero_directions_keep_the_presets(self, tmp_path, capsys):
@@ -434,24 +433,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 0
         second = (tmp_path / "out" / "run-seed3" / "trace.csv").read_text()
         assert first == second
-
-
-@pytest.mark.parametrize("name", ["decay.json", "kirchhoff_decay.json"])
-def test_pair_pass_worker_leaves_artifacts_byte_identical(tmp_path, monkeypatch, capsys,
-                                                          name):
-    # v's dense passes on the worker thread at every M, then never
-    config = Path(__file__).resolve().parents[1] / "configs" / name
-    files = {}
-    for label, threshold in (("threaded", 0), ("serial", math.inf)):
-        monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
-        variational.estimate_well_depth.cache_clear()   # each run takes its own well depth
-        assert main(["simulate", "--config", str(config),
-                     "--out", str(tmp_path / label)]) == 0
-        run_dir = tmp_path / label / "run-seed1"
-        files[label] = {f: (run_dir / f).read_bytes() for f in (
-            "trace.csv", "summary.json", "outcome.json", "fibering.csv")}
-    assert fracops._worker is not None
-    assert files["threaded"] == files["serial"]
 
 
 class TestFiberingCommand:

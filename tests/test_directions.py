@@ -7,13 +7,11 @@ brackets and the four coupling sums must match it bit for bit, since the
 well depth d feeds the classification threshold and every artifact.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from fracwell import (
-    GridField, bracket, build_grid, discrete_norm, fracops, sample_field,
+    GridField, bracket, build_grid, discrete_norm, sample_field,
     validate_params,
 )
 from fracwell.grids import random_smooth_field
@@ -129,10 +127,8 @@ def test_coupling_rows_sum_partial_masks_compacted():
         assert got[name].tobytes() == np.array([f[name] for f in filled]).tobytes()
 
 
-@pytest.mark.parametrize("threshold", [0, math.inf], ids=["worker", "serial"])
-def test_pair_values_stacks_either_way(monkeypatch, threshold):
-    # 23 rows at M=40 walk in pieces of 10, 10 and 3 on each thread
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
+def test_pair_values_stacks_in_pieces():
+    # 23 rows at M=40 walk in pieces of 10, 10 and 3 per field
     grid = build_grid(1.0, 40)
     U, V = np.random.default_rng(10).normal(size=(2, 23, 40))
     assert_rows_match(U, V, grid, PARAMS)

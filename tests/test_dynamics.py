@@ -140,12 +140,10 @@ class TestIntegrate:
         assert np.all(np.diff(trace["D"]) >= 0.0)
         assert np.all(np.diff(trace["t"]) > 0.0)
 
-    @pytest.mark.parametrize("nodes, threshold", [(48, math.inf), (130, 0)],
-                             ids=["serial", "worker"])
-    def test_overflow_inside_a_step_is_a_quiet_blowup(self, monkeypatch, nodes, threshold):
+    @pytest.mark.parametrize("nodes", [48, 130])
+    def test_overflow_inside_a_step_is_a_quiet_blowup(self, nodes):
         # a first step of 0.1 on configs/blowup.json overflows in the stages:
-        # the documented outcome, without a RuntimeWarning from either thread
-        monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
+        # the documented outcome, without a RuntimeWarning
         raw = json.loads((CONFIGS / "blowup.json").read_text())
         raw["integrator"]["dt_init"] = 0.1
         raw["grid"]["counts"] = [nodes]

@@ -1,11 +1,7 @@
 import dataclasses
-import math
-import os
-import signal
 import sys
 import threading
 import tracemalloc
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +16,7 @@ from fracwell import (
     gagliardo_sum, inner, sample_field,
 )
 from fracwell.fracops import (
-    Kernel, apply_operator_naive, gagliardo_sum_naive, kernel, weight_table,
+    apply_operator_naive, gagliardo_sum_naive, kernel, weight_table,
 )
 from fracwell.grids import GridError
 
@@ -270,7 +266,7 @@ def test_workspace_reuse_leaves_earlier_results_alone():
 
 
 # ---------------------------------------------------------------------------
-# pair pass (``pair_values``): v's pass on the worker thread
+# pair pass (``pair_values``): u's pass, then v's, on the calling thread
 # ---------------------------------------------------------------------------
 
 def _bits(result):
@@ -299,14 +295,11 @@ PASS_OUTPUTS = pytest.mark.parametrize("operator, seminorm",
 
 
 @PASS_OUTPUTS
-@pytest.mark.parametrize("grid, threshold, threaded", [
-    (build_grid(1.0, 8), 8, True),
-    (build_grid([1.0, 2.0], [2, 4]), 8, True),
-    (build_grid(1.0, 256), 257, False),
-    (build_grid([1.0, 1.0], [16, 16]), 257, False),
-], ids=["1d-M8-forced", "2d-M8-forced", "1d-M256-serial", "2d-M256-serial"])
-def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold,
-                                                     threaded, operator, seminorm):
+@pytest.mark.parametrize("grid", [
+    build_grid(1.0, 8), build_grid([1.0, 2.0], [2, 4]),
+    build_grid(1.0, 256), build_grid([1.0, 1.0], [16, 16]),
+], ids=["1d-M8", "2d-M8", "1d-M256", "2d-M256"])
+def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, operator, seminorm):
     u, v = _pair(grid, grid.node_count)
     ku, kv = kernel(u.domain, 3.0, 0.4), kernel(v.domain, 3.5, 0.4)
     expected = (fracops._dense_pass(u.values, ku, operator, seminorm),
@@ -324,24 +317,19 @@ def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, threshold
         return serial_pass(w, *args)
 
     monkeypatch.setattr(fracops, "_dense_pass", recording_pass)
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
     ru, rv = _pair_pass(u, 3.0, v, 3.5, 0.4, operator, seminorm)
     assert (_bits(ru), _bits(rv)) == (_bits(expected[0]), _bits(expected[1]))
-    threads = dict(ran_on)
-    assert threads[True] == threading.get_ident()                 # u on the caller
-    assert (threads[False] != threading.get_ident()) == threaded  # v on the worker
+    assert ran_on == [(True, threading.get_ident()), (False, threading.get_ident())]
 
 
 @PASS_OUTPUTS
-@pytest.mark.parametrize("threshold", [0, math.inf], ids=["worker", "serial"])
 @pytest.mark.parametrize("m", [48, 100])
-def test_pair_pass_walks_a_stack_in_pieces(monkeypatch, m, threshold, operator, seminorm):
+def test_pair_pass_walks_a_stack_in_pieces(m, operator, seminorm):
     # two full pieces and a one-row tail: 15 rows at M=48, 3 at M=100
     step = max(1, fracops._STACK_BYTES // (8 * m * m))
     grid = build_grid(1.0, m)
     U, V = np.random.default_rng(m).normal(size=(2, 2 * step + 1, m))
     k_p, k_q = kernel(grid, 3.0, 0.4), kernel(grid, 3.5, 0.4)
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
     got = fracops.pair_values(U, k_p, V, k_q, operator, seminorm)
     for (values, gag), rows, k in zip(got, (U, V), (k_p, k_q)):
         assert (values is None) != operator and (gag is None) != seminorm
@@ -354,28 +342,8 @@ def test_pair_pass_walks_a_stack_in_pieces(monkeypatch, m, threshold, operator, 
                 assert values[i].tobytes() == lone[0].tobytes(), i
 
 
-def test_threaded_stack_is_one_job_on_the_worker(monkeypatch):
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
-    grid = build_grid(1.0, 48)
-    U, V = np.random.default_rng(4).normal(size=(2, 23, 48))     # 4 pieces per thread
-    k = kernel(grid, 3.0, 0.5)
-    args = (U, k, V, k, False)
-    want = tuple(map(_bits, fracops.pair_values(*args)))     # starts the worker
-    jobs, results = fracops._worker
-    sent = []
-
-    class CountingJobs:
-        def put(self, job):
-            sent.append(job)
-            jobs.put(job)
-
-    monkeypatch.setattr(fracops, "_worker", (CountingJobs(), results))
-    assert tuple(map(_bits, fracops.pair_values(*args))) == want
-    assert len(sent) == 1 and sent[0][0] is V
-
-
 @pytest.mark.parametrize("p, q", [(1.5, 3.0), (3.0, 2.0)])
-def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
+def test_pair_pass_signed_zeros_and_ties(p, q):
     # -0.0 - 0.0 = -0.0: the operator's copysign term may carry the sign of
     # that zero where sign(d)|d|^(p-1) gives +0.0; they must still compare equal
     grid = build_grid(1.0, 12)
@@ -385,7 +353,6 @@ def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
     du = np.subtract.outer(u.values, u.values)
     zeros = (du == 0.0) & ~np.eye(12, dtype=bool)
     assert np.signbit(du[zeros]).any() and not np.signbit(du[zeros]).all()
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
     h = grid.cell_measure
     for (values, gag), w, e in zip(_pair_pass(u, p, v, q, 0.4, True), (u, v), (p, q)):
         d = np.subtract.outer(w.values, w.values)
@@ -396,42 +363,6 @@ def test_pair_pass_signed_zeros_and_ties(monkeypatch, p, q):
             float(np.sum(np.abs(d) ** e * W) * h ** 2)).tobytes()
         Lw, gag_w = fracops._dense_pass(w.values, kernel(w.domain, e, 0.4), True, True)
         assert np.array_equal(Lw, values) and gag_w == gag
-
-
-def test_pair_pass_raises_worker_and_caller_errors(monkeypatch):
-    # the exponents are checked where the kernels are resolved, on the caller;
-    # a table of the wrong shape fails inside the pass itself
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
-    grid = build_grid(1.0, 10)
-    u, v = _pair(grid, 5)
-    k, h = kernel(grid, 3.0, 0.5), grid.cell_measure
-    W_bad = weight_table(build_grid(1.0, 4), 3.0, 0.5)
-    k_bad = Kernel(W_bad, h, 3.0)
-    with pytest.raises(ValueError, match="broadcast") as info:
-        fracops.pair_values(u.values, k, v.values, k_bad, True)
-    assert "_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]
-    with pytest.raises(ValueError, match="broadcast") as info:   # caller side: worker drained
-        fracops.pair_values(u.values, k_bad, v.values, k, True)
-    assert "_serve" not in [frame.name for frame in traceback.extract_tb(info.tb)]
-    ru, rv = _pair_pass(u, 3.0, v, 2.5, 0.5, True)
-    assert _bits(ru) == _bits(fracops._dense_pass(u.values, kernel(grid, 3.0, 0.5), True, True))
-    assert _bits(rv) == _bits(fracops._dense_pass(v.values, kernel(grid, 2.5, 0.5), True, True))
-
-
-def test_worker_pass_runs_under_the_callers_errstate(monkeypatch):
-    # only v's pass, on the worker, overflows: it follows the caller's
-    # np.errstate, which the worker thread does not inherit by itself
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
-    grid = build_grid(1.0, 10)
-    u, v = _pair(grid, 6)
-    k = kernel(grid, 3.0, 0.5)
-    huge = v.values * 1e200
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
-        fracops.pair_values(u.values, k, huge, k, True)
-    assert "_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        (_, gag_u), (_, gag_v) = fracops.pair_values(u.values, k, huge, k, True)
-    assert math.isfinite(gag_u) and gag_v == math.inf
 
 
 @pytest.mark.parametrize("counts", [[512], [24, 24]], ids=["1d-M512", "2d-24x24"])
@@ -456,9 +387,8 @@ def test_weight_table_is_built_in_place(counts):
         assert table.tobytes() == want.tobytes()
 
 
-def test_pair_pass_from_concurrent_callers(monkeypatch):
-    # more callers than cores share the one worker; each gets its own results
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+def test_pair_pass_from_concurrent_callers():
+    # more callers than cores, each in its own workspace, get their own results
     pairs = [_pair(build_grid(1.0, 6 + k), k) for k in range(4)]
     expected = [(_bits(fracops._dense_pass(u.values, kernel(u.domain, 3.0, 0.5), True, True)),
                  _bits(fracops._dense_pass(v.values, kernel(v.domain, 2.5, 0.5), True, True)))
@@ -486,30 +416,8 @@ def test_pair_pass_from_concurrent_callers(monkeypatch):
     assert wrong == []
 
 
-def test_forked_child_runs_a_threaded_pass(monkeypatch):
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
-    u, v = _pair(build_grid(1.0, 16), 9)
-    expected = tuple(map(_bits, _pair_pass(u, 3.0, v, 3.5, 0.5, True)))
-    assert fracops._worker is not None      # the parent's worker is running
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            # a child waiting on its parent's worker, which it does not have,
-            # is killed by the alarm instead of hanging the suite
-            signal.alarm(30)
-            got = tuple(map(_bits, _pair_pass(u, 3.0, v, 3.5, 0.5, True)))
-            code = 0 if got == expected else 2
-        finally:
-            os._exit(code)
-    _, status = os.waitpid(pid, 0)
-    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
-
-
-def test_pair_pass_builds_a_shared_weight_table_once(monkeypatch):
-    # with p == q both fields' tables are one, resolved on the caller before
-    # the worker starts: the cache misses once, not once per thread
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", 0)
+def test_pair_pass_builds_a_shared_weight_table_once():
+    # with p == q both fields' tables are one: the cache misses once, not once per field
     grid = build_grid(1.0, 400)         # a table no other test asks for
     u, v = _pair(grid, 37)
     params = validate_params(N=1, s=0.37, p=2.75, q=2.75, sigma=4.0, beta=0.0,
@@ -544,3 +452,87 @@ def test_flow_builds_one_weight_table_per_exponent():
     assert flow.k_p.W is again.k_p.W is weight_table(grid, 2.75, 0.37)
     assert flow.k_q.W is again.k_q.W is weight_table(grid, 3.25, 0.37)
     assert (flow.k_p.p, flow.k_q.p) == (2.75, 3.25)
+
+
+# ---------------------------------------------------------------------------
+# the exact rewrites inside ``_dense_pass``, checked bit for bit on edge
+# values; a numpy that rounds one of them differently fails here, by name
+# ---------------------------------------------------------------------------
+
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-162, -1e-162,
+                  1e-300, -1e-300, 1e160, -1e160, 1e300, -1e300, 1.0, -1.5, 3.25,
+                  np.inf, -np.inf, np.nan])
+
+
+def _edge_differences():
+    """Every edge value, every difference of two, and 20,000 normal values
+    spread over the exponent range: the d a pass can meet."""
+    rng = np.random.default_rng(25)
+    spread = rng.normal(size=20_000) * 10.0 ** rng.uniform(-300, 300, size=20_000)
+    with np.errstate(invalid="ignore"):
+        return np.concatenate([EDGES, np.subtract.outer(EDGES, EDGES).ravel(), spread])
+
+
+def _same_bits(a, b):
+    """Equal bytes wherever a is not NaN, and NaN at the same places."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def test_abs_times_d_is_the_copysign_of_the_square():
+    d = _edge_differences()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.copysign(np.power(np.abs(d), 2.0), d)
+        got = d.copy()
+        got *= np.abs(d)
+    assert _same_bits(want, got)
+    assert np.signbit(got[1]) and not np.signbit(got[0])       # the signs of zero
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_sign_bit_copy_is_copysign(r):
+    d = _edge_differences()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        t = np.power(np.abs(d), r)
+    assert not np.signbit(t).any()
+    want = np.copysign(t, d)
+    got = d.copy()
+    fracops._copy_sign(t, got)
+    nan = np.isnan(t)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert np.isnan(got[nan]).all() and np.isnan(want[nan]).all()
+
+
+@pytest.mark.parametrize("shape", [(20,), (3, 20)], ids=["field", "stack"])
+def test_row_broadcast_subtract_is_the_broadcast_subtract(shape):
+    rng = np.random.default_rng(7)
+    values = rng.permutation(np.resize(EDGES, 60))[:np.prod(shape)].reshape(shape)
+    with np.errstate(invalid="ignore"):
+        want = np.subtract(values[..., :, None], values[..., None, :])
+        got = np.empty(want.shape)
+        got[...] = values[..., :, None]
+        np.subtract(got, values[..., None, :], out=got)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 3.5])
+def test_dense_pass_equals_the_textbook_expressions(p):
+    # fields with zeros of both signs, subnormals, ties and values whose
+    # powers overflow; the operator's textbook term is copysign(|d|^(p-1), d)
+    grid = build_grid(1.0, 24)
+    k, h = kernel(grid, p, 0.4), grid.cell_measure
+    rng = np.random.default_rng(int(2 * p))
+    fields = rng.normal(size=(5, 24))
+    fields[:, :8] = [0.0, -0.0, 5e-324, -1e-310, 1.5, 1.5, 1e-300, -1e-300]
+    fields[4, 8:10] = 1e300, -1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack_op, stack_gag = fracops._dense_pass(fields, k, True, True)
+        for i, u in enumerate(fields):
+            d = u[:, None] - u[None, :]
+            op = 2.0 * h * np.sum(np.copysign(np.abs(d) ** (p - 1.0), d) * k.W, axis=1)
+            gag = float(np.sum(np.abs(d) ** p * k.W) * h ** 2)
+            lone_op, lone_gag = fracops._dense_pass(u, k, True, True)
+            assert _same_bits(op, lone_op) and _same_bits(gag, lone_gag), i
+            assert _same_bits(op, stack_op[i]) and _same_bits(gag, stack_gag[i]), i

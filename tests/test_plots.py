@@ -1,10 +1,13 @@
 """Byte pins of the plots and field CSVs that ``fracwell simulate`` writes, and
 of ``plot_svg`` on inputs the example configs do not reach: no series on a
 linear or a log axis, a log axis with no positive value, one point, a log
-range narrower than 1.0001 or of one subnormal value, NaN points, and marks
-outside the range or non-positive on a log axis."""
+range narrower than 1.0001 or of one subnormal value, NaN points, marks
+outside the range or non-positive on a log axis, and ticks that %.1e prints
+alike."""
 
 import hashlib
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +122,24 @@ def test_one_large_value_gets_a_range(tmp_path, value):
     text = (tmp_path / "plot.svg").read_text()
     assert '<polyline points="385.00,232.00"' in text      # the centre of the frame
     assert text.count('text-anchor="end"') >= 2              # y ticks in the range
+
+
+def test_amplitude_1e8_blowup_ticks_are_distinct(tmp_path, capsys):
+    # one row at phi = -2.49e64 and |u|^2+|v|^2 = 1e16: each y axis spans
+    # +-1e-6 of its value, where %.1e printed every tick alike
+    raw = json.loads((CONFIGS / "blowup.json").read_text())
+    raw["initial_u"]["amplitude"] = raw["initial_v"]["amplitude"] = 1e8
+    config = tmp_path / "blowup-1e8.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 10
+    run_dir = tmp_path / "run-seed1"
+    for name in ("phi_linear.svg", "mass.svg"):
+        labels = re.findall(r'text-anchor="end">([^<]*)<', (run_dir / name).read_text())
+        assert len(labels) >= 4 and len(set(labels)) == len(labels), labels
+    assert '-2.493350e+64' in (run_dir / "phi_linear.svg").read_text()
+    assert (_sha256(run_dir / "phi_linear.svg"), _sha256(run_dir / "mass.svg")) == (
+        "c925b71201046ea41d4f8753e482e0f8353b909a4f6bcaabbc3121e99d8d63df",
+        "50ac933020b4b41b8949ca03ccf34c25c2dbeea682420ac736b2531952cea8eb")
 
 
 def test_two_d_field_csv_matches_golden_hash(tmp_path):

@@ -178,15 +178,13 @@ def test_loop_equals_reference_stepper(name, monkeypatch):
         assert got.outcome.kind == "CompletedHorizon"
 
 
-@pytest.mark.parametrize("threshold", [0, math.inf], ids=["worker", "serial"])
-def test_loop_equals_reference_stepper_at_m128(threshold, monkeypatch):
-    monkeypatch.setattr(fracops, "_THREADED_MIN_NODES", threshold)
+def test_loop_equals_reference_stepper_at_m128(monkeypatch):
     threads = set()
     real = fracops._dense_pass
     monkeypatch.setattr(fracops, "_dense_pass",
                         lambda *a: threads.add(threading.get_ident()) or real(*a))
     assert_same_run(*both_runs("decay-M128", monkeypatch))
-    assert len(threads) == (2 if threshold == 0 else 1)
+    assert threads == {threading.get_ident()}
 
 
 def test_rhs_writes_into_out_and_returns_the_brackets(flagship_params):
