@@ -365,6 +365,37 @@ def test_pair_pass_signed_zeros_and_ties(p, q):
         assert np.array_equal(Lw, values) and gag_w == gag
 
 
+def test_pair_pass_raises_errors_from_either_field():
+    # a table of the wrong shape fails inside the pass itself, in v's pass or
+    # in u's; the next good call on the same workspace gives the serial results
+    grid = build_grid(1.0, 10)
+    u, v = _pair(grid, 5)
+    k = kernel(grid, 3.0, 0.5)
+    k_bad = fracops.Kernel(weight_table(build_grid(1.0, 4), 3.0, 0.5), grid.cell_measure, 3.0)
+    with pytest.raises(ValueError, match="broadcast"):
+        fracops.pair_values(u.values, k, v.values, k_bad, True)
+    with pytest.raises(ValueError, match="broadcast"):
+        fracops.pair_values(u.values, k_bad, v.values, k, True)
+    ru, rv = _pair_pass(u, 3.0, v, 2.5, 0.5, True)
+    assert _bits(ru) == _bits(fracops._dense_pass(u.values, kernel(grid, 3.0, 0.5), True, True))
+    assert _bits(rv) == _bits(fracops._dense_pass(v.values, kernel(grid, 2.5, 0.5), True, True))
+
+
+@pytest.mark.parametrize("q", [3.0, 3.5])   # the |d|·d branch and the sign-bit branch
+def test_pair_pass_runs_under_the_callers_errstate(q):
+    # only v's pass overflows: it follows the caller's np.errstate
+    grid = build_grid(1.0, 10)
+    u, v = _pair(grid, 6)
+    k_u, k_v = kernel(grid, 3.0, 0.5), kernel(grid, q, 0.5)
+    huge = v.values * 1e200
+    for seminorm in (True, False):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            fracops.pair_values(u.values, k_u, huge, k_v, True, seminorm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (_, gag_u), (_, gag_v) = fracops.pair_values(u.values, k_u, huge, k_v, True)
+    assert np.isfinite(gag_u) and gag_v == np.inf
+
+
 @pytest.mark.parametrize("counts", [[512], [24, 24]], ids=["1d-M512", "2d-24x24"])
 def test_weight_table_is_built_in_place(counts):
     # a build holds the table, and in 2-D one more axis's squares, at its
