@@ -31,17 +31,18 @@ a bad value: every integrator control must be a positive finite number
 "dt_max", "directions" and "refine_iters" integers >= 0
 and "modes" an integer >= 1, "seed" an integer >= 0 (not a bool),
 "output_dir" a string and each "amplitude" a finite number.  The grid's
-extents must be positive and finite and its counts integers, and every
-Kirchhoff value finite.  The integrator block's keys, defaults and value
-rule are those of ``dynamics.IntegratorControls``; the grid's and the
-Kirchhoff blocks' value rules are those of ``grids.GridDomain`` and
-``kirchhoff.KirchhoffFn``, so the Python API shares them.
+extents must be positive finite numbers and its counts integers, and every
+Kirchhoff and params value a finite number; a JSON boolean is never a
+number (``params.finite_number``).  The integrator block's keys, defaults
+and value rule are those of ``dynamics.IntegratorControls``; the grid's,
+the Kirchhoff blocks' and the params block's value rules are those of
+``grids.GridDomain``, ``kirchhoff.KirchhoffFn`` and
+``params.validate_params``, so the Python API shares them.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -49,7 +50,7 @@ from pathlib import Path
 from .dynamics import IntegratorControls
 from .grids import GridDomain, GridField, build_grid, sample_field
 from .kirchhoff import KirchhoffFn
-from .params import ModelParams, ParamError, validate_params
+from .params import ModelParams, ParamError, finite_number, validate_params
 from .variational import PSI_VARIANTS
 
 
@@ -129,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"config 'output_dir' must be a string, got {self.output_dir!r}")
         for name in ("initial_u", "initial_v"):
             amp = getattr(self, name)["amplitude"]
-            if not isinstance(amp, numbers.Real) or not math.isfinite(amp):
+            if not finite_number(amp):
                 raise ConfigError(f"{name} 'amplitude' must be a finite number, got {amp!r}")
 
     # -- serialization ------------------------------------------------------

@@ -37,27 +37,19 @@ The loop works on the stacked state y = [u, v] in reused buffers.  A run's
 array.  The stage sums y + dt * sum(a_j k_j) are formed in place, term by
 term in the tableau's order, so every value is bit-identical to the plain
 expression.  The pair is FSAL ("first same as last"): the seventh stage is
-evaluated at the fifth-order solution itself, so an accepted step's trace
-row takes its brackets from that stage's pair pass instead of running one
-more, and the stage becomes the next step's first.  The brackets of stages
-2 to 6 are read only through K(A).  So when both coefficients are constant
-(``KirchhoffFn.is_constant``), those five stages run the operator alone and
-use the constant a, which is K(A) bit for bit at every A; only the first
-``rhs`` and the seventh stage take the Gagliardo sums.
-
-That holds where a stage state's |d|^p overflows while |d|^(p-1) does not
-(far beyond the default blow-up threshold, |d| near 1e100): its bracket is
-inf, and K(inf) = a, since a constant coefficient never forms 0 * inf.  Such
-a stage stays finite with or without its bracket, and the step is judged on
-its fifth-order solution and error estimate like any other: an overshooting
-trial step is rejected and retried.
+evaluated at the fifth-order solution itself and becomes the next step's
+first.  A stage reads its brackets only through K(A), so when both
+coefficients are constant (``KirchhoffFn.is_constant``) no stage takes the
+Gagliardo sums and each uses the constant a, which is K(A) bit for bit at
+every A.  Every trace row is the fibering ray of its accepted state: the
+loop keeps a copy of each, and the run's six ray sums come from one stacked
+``variational._ray_rows`` call, the route of ``FiberingRay.from_pair``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -66,8 +58,8 @@ import numpy as np
 from .fracops import Kernel, kernel, pair_values
 from .grids import GridDomain, GridField
 from .kirchhoff import KirchhoffFn, k_eval
-from .params import ModelParams, ParamError
-from .variational import _RAY_SUMS, FiberingRay, _coupling_rows, _masked_log_product
+from .params import ModelParams, ParamError, finite_number
+from .variational import _RAY_SUMS, FiberingRay, _masked_log_product, _ray_rows
 
 
 class Flow(NamedTuple):
@@ -89,33 +81,28 @@ class Flow(NamedTuple):
                    K_p.is_constant and K_q.is_constant)
 
 
-def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None, brackets: bool = True
-        ) -> tuple[np.ndarray, float | None, float | None]:
+def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side of the semi-discrete gradient flow at the stacked
     state y = [u, v].
 
-    Writes [u_t, v_t] into ``out`` (a new array when None) and returns it
-    with the brackets A, B of u and v.  With ``brackets`` off on a flow whose
-    coefficients are both constant, the pass skips the Gagliardo sums, each
-    coefficient is its constant a, which is K(A) bit for bit at any A, and
-    A, B are None.  The reaction at a node vanishes
-    whenever u_i v_i = 0 (continuous extension of t^sigma log t).  The
-    diffusion carries the 1/p (resp. 1/q) gradient scaling that makes the
-    energy chain with the consistent Nehari functional exact; see the module
-    docstring.
+    Writes [u_t, v_t] into ``out`` (a new array when None) and returns it.
+    The pass takes the Gagliardo sums only where a coefficient reads its
+    bracket: on a flow whose coefficients are both constant, each
+    coefficient is its constant a, which is K(A) bit for bit at any A.  The
+    reaction at a node vanishes whenever u_i v_i = 0 (continuous extension
+    of t^sigma log t).  The diffusion carries the 1/p (resp. 1/q) gradient
+    scaling that makes the energy chain with the consistent Nehari
+    functional exact; see the module docstring.
     """
     params, K_p, K_q, k_p, k_q, constant = flow
     p, q, sig = params.p, params.q, params.sigma
     n = len(y) // 2
     uu, vv = y[:n], y[n:]
-    seminorm = brackets or not constant
-    (Lu, gag_u), (Lv, gag_v) = pair_values(uu, k_p, vv, k_q, True, seminorm)
-    if seminorm:
-        A, B = gag_u / p, gag_v / q
-        cp, cq = k_eval(K_p, A), k_eval(K_q, B)
-    else:
-        A = B = None
+    (Lu, gag_u), (Lv, gag_v) = pair_values(uu, k_p, vv, k_q, True, not constant)
+    if constant:
         cp, cq = K_p.a, K_q.a
+    else:
+        cp, cq = k_eval(K_p, gag_u / p), k_eval(K_q, gag_v / q)
     lg, _ = _masked_log_product(uu, vv)
     ay = np.abs(y)
     partner = np.concatenate((ay[n:], ay[:n]))
@@ -126,7 +113,7 @@ def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None, brackets: bool
     np.multiply(Lu, -(cp / p), out=out[:n])
     np.multiply(Lv, -(cq / q), out=out[n:])
     out += reaction
-    return out, A, B
+    return out
 
 
 # Dormand-Prince 5(4) tableau (FSAL: last stage is the derivative at the new state)
@@ -149,7 +136,7 @@ _FOURTH = tuple((j, b) for j, b in enumerate(_DP_B4) if b)
 _GROWTH_FACTOR = 10.0   # dt-floor counts as blow-up past this much max-abs growth
 
 # the values integrate records per accepted step, in order
-_ROW = ("t", "dt", *_RAY_SUMS, "l2_u", "l2_v", "maxabs_u", "maxabs_v", "D", "ut_sq", "vt_sq")
+_ROW = ("t", "dt", "l2_u", "l2_v", "maxabs_u", "maxabs_v", "D", "ut_sq", "vt_sq")
 
 
 @dataclass(frozen=True)
@@ -170,8 +157,7 @@ class IntegratorControls:
             value = getattr(self, f.name)
             if value is None and f.name == "dt_max":
                 continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 < value < math.inf):
+            if not finite_number(value) or value <= 0:
                 raise ParamError(f"integrator {f.name!r} must be a positive number, "
                                  f"not inf or NaN, got {value!r}")
             object.__setattr__(self, f.name, float(value))
@@ -241,9 +227,10 @@ def integrate(
 ) -> SimTrace:
     """Adaptive Dormand-Prince 5(4) integration of the semi-discrete flow.
 
-    A trace row is recorded at t = 0 and at every accepted step; phi and both
-    Nehari variants are evaluated for all rows at once, on the stacked
-    fibering rays of the rows at eps = 1.  Termination:
+    A trace row is recorded at t = 0 and at every accepted step.  The six ray
+    sums of all rows come from one stacked ``_ray_rows`` call on the kept
+    states, and phi and both Nehari variants are evaluated for all rows at
+    once, on those rays at eps = 1.  Termination:
     the horizon t_end (CompletedHorizon); max-abs beyond the blow-up threshold
     or non-finite values (BlowUp, norm_threshold); step size under dt_min
     (BlowUp with trigger dt_floor when max-abs grew by ``_GROWTH_FACTOR``,
@@ -255,6 +242,7 @@ def integrate(
     ks = np.empty((7, 2 * n))       # stage derivatives; ks[6] is the next step's ks[0]
     ys, y5, y4, acc, term = (np.empty(2 * n) for _ in range(5))
     rows: list[tuple] = []
+    states: list[np.ndarray] = []     # each row's y
 
     def combine(terms, dt, out):
         """out = y + dt * sum(c * ks[j] for j, c in terms), operation for
@@ -271,19 +259,20 @@ def integrate(
         """[|u_t|_2^2, |v_t|_2^2] of each stage row of k."""
         return (np.add.reduce((k ** 2).reshape(len(k), 2, n), axis=2) * hN).tolist()
 
-    def snapshot(t, dt, D, A, B, sq):
-        """Record the row of the current y; A and B are its brackets, sq the
-        squared norms of its derivative.  Returns max |y|."""
+    def snapshot(t, dt, D, sq):
+        """Record the row of the current y, keeping a copy of y for its ray;
+        sq holds the squared norms of its derivative.  Returns max |y|."""
         ay = np.abs(y)
         l2 = (np.add.reduce((ay ** 2.0).reshape(2, n), axis=1) * hN).tolist()
         top = np.max(ay.reshape(2, n), axis=1).tolist()
-        c = _coupling_rows(y[None, :n], y[None, n:], params.sigma, hN)
-        rows.append((t, dt, A, B, *(float(c[name][0]) for name in _RAY_SUMS[2:]),
-                     l2[0] ** 0.5, l2[1] ** 0.5, *top, D, *sq))
+        states.append(y.copy())
+        rows.append((t, dt, l2[0] ** 0.5, l2[1] ** 0.5, *top, D, *sq))
         return float(np.max(ay))
 
     def finish(kind, t, trigger=""):
         cols = dict(zip(_ROW, map(np.array, zip(*rows))))
+        stack = np.array(states)
+        cols.update(_ray_rows(stack[:, :n], stack[:, n:], u0.domain, params))
         ray = FiberingRay(params, K_p, K_q, **{name: cols[name] for name in _RAY_SUMS})
         ones = np.ones(len(rows))
         phi = ray.phi(ones)
@@ -294,9 +283,9 @@ def integrate(
         return SimTrace({name: cols[name] for name in SimTrace.COLUMNS},
                         RunOutcome(kind, t, trigger), params)
 
-    _, A, B = rhs(y, flow, ks[0])
+    rhs(y, flow, ks[0])
     t = D = 0.0
-    ymax = initial_maxabs = snapshot(t, 0.0, D, A, B, sq_norms(ks[:1])[0])
+    ymax = initial_maxabs = snapshot(t, 0.0, D, sq_norms(ks[:1])[0])
     dt = min(controls.dt_init, controls.t_end)
     if controls.dt_max is not None:
         dt = min(dt, controls.dt_max)
@@ -306,8 +295,7 @@ def integrate(
         # an overflow inside the step is caught below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, 7):
-                # only the last stage's brackets are read: they are y5's
-                _, A, B = rhs(combine(_STAGES[i], dt, ys), flow, ks[i], i == 6)
+                rhs(combine(_STAGES[i], dt, ys), flow, ks[i])
             combine(_FIFTH, dt, y5)
             combine(_FOURTH, dt, y4)
             err = float(np.max(np.abs(y5 - y4)))
@@ -325,8 +313,7 @@ def integrate(
             D += max(incr, 0.0) if math.isfinite(incr) else math.inf
             y, y5 = y5, y
             ks[0] = ks[6]
-            # the last stage ran at y5 itself: its brackets are those of y
-            ymax = snapshot(t, dt, D, A, B, sq[6])
+            ymax = snapshot(t, dt, D, sq[6])
             if ymax > controls.blowup_threshold:
                 return finish("BlowUp", t, "norm_threshold")
 

@@ -23,12 +23,12 @@ d_ij = u_i - u_j once, in a reused per-thread workspace, and returns both the
 operator and the Gagliardo sum; through ``pair_values``, which takes nodal
 values and each field's ``Kernel`` (weight table, h^N and exponent), resolved
 once by the caller through ``kernel``, ``dynamics.rhs`` gets one pass per
-field per stage, with the Gagliardo sum switched off where the stage's
-brackets are not read (constant Kirchhoff coefficients, five stages of
-six).  ``apply_operator``, ``gagliardo_sum`` and
-``bracket`` run the same pass with one of its two outputs switched off.
-The well-depth directions and every fibering ray pass stacks of fields, one
-difference table each, through ``pair_values`` with the operator off.
+field per stage, with the Gagliardo sum switched off where no coefficient
+reads it (both Kirchhoff coefficients constant).  ``apply_operator``,
+``gagliardo_sum`` and ``bracket`` run the same pass with one of its two
+outputs switched off.  The well-depth directions, every fibering ray and
+the rows of every trace pass stacks of fields, one difference table each,
+through ``pair_values`` with the operator off.
 The operator and the Gagliardo sum are written here only.
 The bracket stays sum |d|^p W h^(2N)/p, with its own power of |d|, and is
 never taken from the duality shortcut inner(Lu, u)/p: the shortcut differs in

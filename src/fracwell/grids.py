@@ -9,13 +9,14 @@ condition); no ghost values are ever stored or read.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from .params import finite_number
 
 
 class GridError(ValueError):
@@ -41,8 +42,9 @@ class GridDomain:
             raise GridError("extents and counts must be non-empty and of equal length")
         if len(self.extents) > 2:
             raise GridError("only N = 1 or 2 supported")
-        if not all(0 < e < math.inf for e in self.extents):
-            raise GridError(f"'extents' must be positive and finite, got {self.extents}")
+        if not all(finite_number(e) and e > 0 for e in self.extents):
+            raise GridError(f"'extents' must be positive finite numbers, got {self.extents}")
+        object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 2
                for c in self.counts):
             raise GridError(f"'counts' must be integers, at least 2 nodes per axis, "
@@ -110,11 +112,8 @@ def build_grid(
     counts: Sequence[int] | int,
 ) -> GridDomain:
     """Build a uniform cell-centered grid; scalars are promoted to 1-D."""
-    if np.isscalar(extents):
-        extents = [float(extents)]
-    if np.isscalar(counts):
-        counts = [counts]
-    return GridDomain(tuple(float(e) for e in extents), tuple(counts))
+    extents, counts = ((x,) if np.ndim(x) == 0 else tuple(x) for x in (extents, counts))
+    return GridDomain(extents, counts)
 
 
 PRESETS = ("constant", "sine", "bump", "indicator")

@@ -17,11 +17,12 @@ inequalities, never strictness.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
+
+from .params import finite_number
 
 SLACK = 1e-12
 
@@ -50,7 +51,7 @@ class KirchhoffFn:
     def __post_init__(self):
         for name in ("beta", "a", "b", "c"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not finite_number(value):
                 raise KirchhoffError(f"{name!r} must be a finite number, got {value!r}")
         if self.beta < 0:
             raise KirchhoffError(f"beta must be nonnegative, got {self.beta}")
@@ -65,12 +66,16 @@ class KirchhoffFn:
         elif self.kind == "log1p":
             pass
         elif self.kind == "table":
-            z = np.asarray(self.table_z, dtype=float)
-            k = np.asarray(self.table_k, dtype=float)
+            for key in ("z", "k"):
+                values = getattr(self, "table_" + key)
+                if (not isinstance(values, (list, tuple, np.ndarray))
+                        or not all(map(finite_number, values))):
+                    raise KirchhoffError(f"table {key!r} values must be finite numbers "
+                                         f"in a list, got {values!r}")
+                object.__setattr__(self, "table_" + key, tuple(values))
+            z, k = np.asarray(self.table_z, dtype=float), np.asarray(self.table_k, dtype=float)
             if z.size < 2 or z.size != k.size:
                 raise KirchhoffError("table needs matching z/K samples, at least two")
-            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(k))):
-                raise KirchhoffError("table 'z' and 'k' values must be finite")
             if np.any(np.diff(z) <= 0) or z[0] < 0:
                 raise KirchhoffError("table z values must be nonnegative and increasing")
         else:
@@ -90,8 +95,8 @@ class KirchhoffFn:
         return cls(kind="log1p", beta=beta)
 
     @classmethod
-    def from_table(cls, z: Iterable[float], k: Iterable[float], beta: float) -> "KirchhoffFn":
-        return cls(kind="table", beta=beta, table_z=tuple(z), table_k=tuple(k))
+    def from_table(cls, z: Sequence[float], k: Sequence[float], beta: float) -> "KirchhoffFn":
+        return cls(kind="table", beta=beta, table_z=z, table_k=k)
 
     @property
     def is_constant(self) -> bool:

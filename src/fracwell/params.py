@@ -11,12 +11,19 @@ first violated inequality by name.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
 class ParamError(ValueError):
     """Raised when an exponent tuple violates a precondition or, in strict
     mode, the admissibility window."""
+
+
+def finite_number(x) -> bool:
+    """True for a finite real number that is not a bool: the rule every
+    numeric config value meets (a JSON true or false is not a number)."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
 
 
 def critical_exponent(N: int, s: float, p: float) -> float:
@@ -107,10 +114,10 @@ def validate_params(
         ``well_regime=False`` when the window fails.
     """
     for name, val in (("s", s), ("p", p), ("q", q), ("sigma", sigma), ("beta", beta)):
-        if not math.isfinite(val):
-            raise ParamError(f"{name} must be finite, got {val!r}")
-    if N not in (1, 2):
-        raise ParamError(f"N must be 1 or 2, got {N}")
+        if not finite_number(val):
+            raise ParamError(f"{name} must be a finite number, got {val!r}")
+    if isinstance(N, bool) or N not in (1, 2):
+        raise ParamError(f"N must be 1 or 2, got {N!r}")
     if not 0.0 < s < 1.0:
         raise ParamError(f"s must lie in (0, 1), got {s}")
     if p <= 1.0 or q <= 1.0:

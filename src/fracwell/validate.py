@@ -382,8 +382,8 @@ def suite_dissipation(res):
               f"identity residual too large: {max_abs}")
     # energy chain at the initial state
     n = grid.node_count
-    k, _, _ = dynamics.rhs(np.concatenate([u0.values, v0.values]),
-                           dynamics.Flow.on(grid, params, Kp, Kq))
+    k = dynamics.rhs(np.concatenate([u0.values, v0.values]),
+                     dynamics.Flow.on(grid, params, Kp, Kq))
     chain = inner(GridField(grid, k[:n]), u0) + inner(GridField(grid, k[n:]), v0)
     psi0 = FiberingRay.from_pair(u0, v0, params, Kp, Kq).psi_consistent(1.0)
     res.check(abs(chain + psi0) <= 1e-10 * (1.0 + abs(psi0)),

@@ -182,6 +182,39 @@ class TestConfig:
         assert "config error: invalid kirchhoff_q block" in err and f"'{key}'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("initial_u", "amplitude", True, "initial_u 'amplitude' must be a finite number"),
+        ("kirchhoff_p", "a", True, "invalid kirchhoff_p block: 'a' must be a finite number"),
+        ("kirchhoff_q", "beta", False,
+         "invalid kirchhoff_q block: 'beta' must be a finite number"),
+        ("table", "z", [0, True, 2], "invalid kirchhoff_q block: table 'z' values must be"),
+        ("table", "k", ["1", 1, 1], "invalid kirchhoff_q block: table 'k' values must be"),
+        ("table", "z", 5, "invalid kirchhoff_q block: table 'z' values must be"),
+        ("table", "z", None, "invalid kirchhoff_q block: table 'z' values must be"),
+        ("grid", "extents", [True], "invalid grid block: 'extents' must be positive"),
+        ("grid", "extents", ["1.0"], "invalid grid block: 'extents' must be positive"),
+        ("grid", "extents", None, "invalid grid block: 'extents' must be positive"),
+        ("params", "N", True, "invalid params block: N must be 1 or 2, got True"),
+        ("params", "beta", False, "invalid params block: beta must be a finite number"),
+    ], ids=["amplitude-bool", "a-bool", "beta-bool", "table-z-bool", "table-k-string",
+            "table-z-number", "table-z-null", "extents-bool", "extents-string",
+            "extents-null", "N-bool", "params-beta-bool"])
+    def test_values_that_are_not_numbers_fail_by_name(self, tmp_path, capsys, monkeypatch,
+                                                      block, key, value, message):
+        # a JSON boolean passed as a number and ran; a string in a table,
+        # a lone number or null crashed with exit 2
+        raw = json.loads((CONFIGS / "decay.json").read_text())
+        raw["output_dir"] = str(tmp_path / "out")
+        if block == "table":
+            block = "kirchhoff_q"
+            raw[block] = {"kind": "table", "z": [0.0, 1.0, 2.0], "k": [1.0, 1.0, 1.0]}
+        raw[block][key] = value
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert main(["classify", "--config", "bad.json"]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.json"]
+
     def test_seed_override_meets_the_seed_rule(self, tmp_path, capsys):
         path = make_config(tmp_path)
         assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 1

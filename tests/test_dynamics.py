@@ -24,7 +24,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def field_rhs(u, v, params, K_p, K_q):
     """``rhs`` at the pair (u, v), as the pair (u_t, v_t) of fields."""
-    k, _, _ = rhs(np.concatenate([u.values, v.values]), Flow.on(u.domain, params, K_p, K_q))
+    k = rhs(np.concatenate([u.values, v.values]), Flow.on(u.domain, params, K_p, K_q))
     n = u.domain.node_count
     return GridField(u.domain, k[:n]), GridField(u.domain, k[n:])
 
@@ -66,23 +66,6 @@ class TestRightHandSide:
                   * apply_operator(v, prm.q, prm.s).values + f2)
         assert np.array_equal(du.values, want_u)
         assert np.array_equal(dv.values, want_v)
-
-    @pytest.mark.parametrize("K_p, K_q, skips", [
-        (KirchhoffFn.constant(2.5), KirchhoffFn.constant(0.5), True),
-        (KirchhoffFn.constant(2.5), KirchhoffFn.affine_power(1.0, 1.0, 0.25, beta=0.25), False),
-        (KirchhoffFn.log1p(beta=1.0), KirchhoffFn.constant(), False),
-    ], ids=["both-constant", "p-constant", "q-constant"])
-    def test_brackets_off_changes_no_bit(self, grid32, flagship_params, K_p, K_q, skips):
-        # with both coefficients constant the brackets are skipped, and K.a
-        # stands for K(A); otherwise they are needed for K(A) and returned
-        u, v = random_pair(grid32, 5)
-        y = np.concatenate([u.values, v.values])
-        flow = Flow.on(grid32, flagship_params, K_p, K_q)
-        assert flow.constant is skips
-        k_on, A, B = rhs(y, flow)
-        k_off, A_off, B_off = rhs(y, flow, None, False)
-        assert k_off.tobytes() == k_on.tobytes()
-        assert (A_off, B_off) == ((None, None) if skips else (A, B))
 
     def test_energy_chain(self, grid32, flagship_params, unit_kirchhoff):
         for seed in range(5):
@@ -163,16 +146,19 @@ class TestIntegrate:
     ], ids=["both-constant", "q-log1p"])
     def test_seminorm_is_taken_where_its_brackets_are_read(self, monkeypatch, grid32,
                                                           flagship_params, K_p, K_q, inner):
-        # at t = 0 and at the seventh (FSAL) stage of every attempted step,
-        # and at stages 2 to 6 only where a coefficient reads its bracket
-        flags = []
-        real = dynamics.pair_values
+        # a stage takes the Gagliardo sums only where a coefficient reads its
+        # bracket; every row's ray sums come from one stacked call per run
+        flags, stacks = [], []
+        real, real_rows = dynamics.pair_values, dynamics._ray_rows
         monkeypatch.setattr(dynamics, "pair_values", lambda *a: flags.append(a[5]) or real(*a))
+        monkeypatch.setattr(dynamics, "_ray_rows",
+                            lambda U, *a: stacks.append((len(U), len(a[0]))) or real_rows(U, *a))
         u0 = sample_field(grid32, "sine", 0.5)
         trace = integrate(u0, u0, flagship_params, K_p, K_q, IntegratorControls(t_end=0.5))
         steps = (len(flags) - 1) // 6
         assert steps >= len(trace) - 1 > 10
-        assert flags == [True] + ([inner] * 5 + [True]) * steps
+        assert flags == [inner] * (1 + 6 * steps)
+        assert stacks == [(len(trace), len(trace))]
 
     @pytest.mark.parametrize("z", [1.25, 1.5], ids=["inner-stage", "seventh-stage"])
     def test_bracket_overflow_in_a_stage(self, monkeypatch, z):
@@ -188,8 +174,8 @@ class TestIntegrate:
         blow-up threshold is far above 1e8.
 
         A constant coefficient is a at every bracket, inf included, so the
-        inner stages that skip their brackets and a run that takes every
-        stage's bracket give the same trace bit for bit: the overshooting
+        stages that skip their brackets and a run that takes every stage's
+        bracket give the same trace bit for bit: the overshooting
         trial step is rejected for its error and retried, the run completes,
         and phi stays finite on every row (a + 0 * inf and a z + 0 * z^2 made
         both runs NaN before).
@@ -207,7 +193,7 @@ class TestIntegrate:
         stages = []
         real = dynamics.rhs
         monkeypatch.setattr(dynamics, "rhs",
-                            lambda y, *a: stages.append((y[0] - y[1], *a[2:])) or real(y, *a))
+                            lambda y, *a: stages.append(abs(y[0] - y[1])) or real(y, *a))
 
         def run():
             stages.clear()
@@ -215,11 +201,10 @@ class TestIntegrate:
                 return integrate(u0, v0, params, K, K, controls)
 
         skip = run()
-        first_step = [(abs(diff), brackets) for diff, brackets in stages[1:7]]
+        first_step = stages[1:7]
         with np.errstate(over="ignore"):
-            overflows = [bool(x ** 3.0 * W == math.inf) for x, _ in first_step]
-            assert all(math.isfinite(x ** 2.0 * W) for x, _ in first_step)
-        assert [b for _, b in first_step] == [False] * 5 + [True]
+            overflows = [bool(x ** 3.0 * W == math.inf) for x in first_step]
+            assert all(math.isfinite(x ** 2.0 * W) for x in first_step)
         assert overflows[5] is (z == 1.5) and any(overflows[:5])
         assert skip.outcome.kind == "CompletedHorizon"
         assert skip.outcome.t == pytest.approx(controls.t_end)

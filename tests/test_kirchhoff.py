@@ -155,7 +155,7 @@ def test_table_antiderivative_property(K, picks):
 @example(a=1.0, c=1.0, A=1e300)
 @example(a=5e-324, c=0.0, A=1.7976931348623157e308)
 def test_constant_coefficient_is_its_constant_bit_for_bit(a, c, A):
-    # dynamics.rhs uses K.a in place of K(A) at the stages whose brackets it skips
+    # dynamics.rhs uses K.a in place of K(A) when both coefficients are constant
     K = KirchhoffFn.affine_power(a, 0.0, c)
     assert K.is_constant and (c != 1.0 or K == KirchhoffFn.constant(a))
     assert np.float64(k_eval(K, A)).tobytes() == np.float64(a).tobytes()
