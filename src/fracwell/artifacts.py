@@ -50,7 +50,7 @@ def _json_safe(obj):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return None if math.isnan(v) else ("inf" if math.isinf(v) else v)
+        return None if math.isnan(v) else (str(v) if math.isinf(v) else v)  # "inf", "-inf"
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -58,8 +58,13 @@ def _json_safe(obj):
     return obj
 
 
+def json_text(payload: dict) -> str:
+    """The JSON text of a payload: NaN as null, infinities as "inf" and "-inf"."""
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True)
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(payload) + "\n")
 
 
 def _csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:

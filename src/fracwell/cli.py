@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -92,7 +91,7 @@ def cmd_classify(args) -> int:
     cfg = _load_config(args)
     params, grid, Kp, Kq, u0, v0 = _setup(cfg)
     _, cls, _ = _classification(cfg, params, grid, Kp, Kq, u0, v0)
-    print(json.dumps(cls.to_json_dict(), indent=2, sort_keys=True))
+    print(artifacts.json_text(cls.to_json_dict()))
     return EXIT_OK
 
 
@@ -213,11 +212,11 @@ def cmd_well_depth(args) -> int:
     run_dir = cfg.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
     artifacts.write_well_samples_csv(run_dir / "well_samples.csv", est)
-    print(json.dumps({
+    print(artifacts.json_text({
         "d": est.d, "samples": est.sample_count, "attempted": est.attempted,
         "bracketing_failures": est.bracketing_failures, "seed": est.seed,
         "note": "upper estimate from sampled directions",
-    }, indent=2, sort_keys=True))
+    }))
     return EXIT_OK
 
 

@@ -33,17 +33,17 @@ on instead of turning NaN.
 
 The loop works on the stacked state y = [u, v] in reused buffers.  A run's
 ``Flow`` resolves the kernels of u and v once, and each stage is one
-``rhs`` call: one pair pass, whose u_t and v_t go into one row of the stage
-array.  The stage sums y + dt * sum(a_j k_j) are formed in place, term by
-term in the tableau's order, so every value is bit-identical to the plain
-expression.  The pair is FSAL ("first same as last"): the seventh stage is
-evaluated at the fifth-order solution itself and becomes the next step's
-first.  A stage reads its brackets only through K(A), so when both
-coefficients are constant (``KirchhoffFn.is_constant``) no stage takes the
-Gagliardo sums and each uses the constant a, which is K(A) bit for bit at
-every A.  Every trace row is the fibering ray of its accepted state: the
-loop keeps a copy of each, and the run's six ray sums come from one stacked
-``variational._ray_rows`` call, the route of ``FiberingRay.from_pair``.
+``rhs`` call: one ``fracops._dense_pass`` per field, whose u_t and v_t go
+into one row of the stage array.  The stage sums y + dt * sum(a_j k_j) are
+formed in place, term by term in the tableau's order, so every value is
+bit-identical to the plain expression.  The pair is FSAL ("first same as
+last"): the seventh stage is evaluated at the fifth-order solution itself and
+becomes the next step's first.  A stage reads its brackets only through K(A),
+so when both coefficients are constant (``KirchhoffFn.is_constant``) no stage
+takes the Gagliardo sums and each uses the constant a, which is K(A) bit for
+bit at every A.  Every trace row is the fibering ray of its accepted state: the
+loop keeps a copy of each, and the run's rays are one ``FiberingRay.of_rows``
+call on the stacked states, the route of ``FiberingRay.from_pair``.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fracops import Kernel, kernel, pair_values
+from .fracops import Kernel, _dense_pass, kernel
 from .grids import GridDomain, GridField
 from .kirchhoff import KirchhoffFn, k_eval
 from .params import ModelParams, ParamError, finite_number
-from .variational import _RAY_SUMS, FiberingRay, _masked_log_product, _ray_rows
+from .variational import FiberingRay, _masked_log_product
 
 
 class Flow(NamedTuple):
@@ -86,8 +86,8 @@ def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None) -> np.ndarray:
     state y = [u, v].
 
     Writes [u_t, v_t] into ``out`` (a new array when None) and returns it.
-    The pass takes the Gagliardo sums only where a coefficient reads its
-    bracket: on a flow whose coefficients are both constant, each
+    Each field's pass takes its Gagliardo sum only where a coefficient reads
+    its bracket: on a flow whose coefficients are both constant, each
     coefficient is its constant a, which is K(A) bit for bit at any A.  The
     reaction at a node vanishes whenever u_i v_i = 0 (continuous extension
     of t^sigma log t).  The diffusion carries the 1/p (resp. 1/q) gradient
@@ -98,7 +98,8 @@ def rhs(y: np.ndarray, flow: Flow, out: np.ndarray | None = None) -> np.ndarray:
     p, q, sig = params.p, params.q, params.sigma
     n = len(y) // 2
     uu, vv = y[:n], y[n:]
-    (Lu, gag_u), (Lv, gag_v) = pair_values(uu, k_p, vv, k_q, True, not constant)
+    Lu, gag_u = _dense_pass(uu, k_p, True, not constant)
+    Lv, gag_v = _dense_pass(vv, k_q, True, not constant)
     if constant:
         cp, cq = K_p.a, K_q.a
     else:
@@ -227,8 +228,8 @@ def integrate(
 ) -> SimTrace:
     """Adaptive Dormand-Prince 5(4) integration of the semi-discrete flow.
 
-    A trace row is recorded at t = 0 and at every accepted step.  The six ray
-    sums of all rows come from one stacked ``_ray_rows`` call on the kept
+    A trace row is recorded at t = 0 and at every accepted step.  The rays
+    of all rows come from one ``FiberingRay.of_rows`` call on the kept
     states, and phi and both Nehari variants are evaluated for all rows at
     once, on those rays at eps = 1.  Termination:
     the horizon t_end (CompletedHorizon); max-abs beyond the blow-up threshold
@@ -272,13 +273,12 @@ def integrate(
     def finish(kind, t, trigger=""):
         cols = dict(zip(_ROW, map(np.array, zip(*rows))))
         stack = np.array(states)
-        cols.update(_ray_rows(stack[:, :n], stack[:, n:], u0.domain, params))
-        ray = FiberingRay(params, K_p, K_q, **{name: cols[name] for name in _RAY_SUMS})
+        ray = FiberingRay.of_rows([(stack[:, :n], stack[:, n:])], u0.domain, params, K_p, K_q)
         ones = np.ones(len(rows))
         phi = ray.phi(ones)
         residual = cols["D"] + phi - phi[0]
         residual[0] = 0.0
-        cols.update(phi=phi, psi_consistent=ray.psi_consistent(ones),
+        cols.update(vars(ray), phi=phi, psi_consistent=ray.psi_consistent(ones),
                     psi_printed=ray.psi_printed(ones), residual=residual)
         return SimTrace({name: cols[name] for name in SimTrace.COLUMNS},
                         RunOutcome(kind, t, trigger), params)

@@ -20,15 +20,13 @@ than only in the mesh limit.
 
 One pass per field: ``_dense_pass`` builds the difference table
 d_ij = u_i - u_j once, in a reused per-thread workspace, and returns both the
-operator and the Gagliardo sum; through ``pair_values``, which takes nodal
-values and each field's ``Kernel`` (weight table, h^N and exponent), resolved
-once by the caller through ``kernel``, ``dynamics.rhs`` gets one pass per
-field per stage, with the Gagliardo sum switched off where no coefficient
-reads it (both Kirchhoff coefficients constant).  ``apply_operator``,
-``gagliardo_sum`` and ``bracket`` run the same pass with one of its two
-outputs switched off.  The well-depth directions, every fibering ray and
-the rows of every trace pass stacks of fields, one difference table each,
-through ``pair_values`` with the operator off.
+operator and the Gagliardo sum, from nodal values and the field's ``Kernel``
+(weight table, h^N and exponent), resolved once by the caller through
+``kernel``.  ``dynamics.rhs`` makes one pass per field per stage, with the
+Gagliardo sum off where no coefficient reads it (both Kirchhoff coefficients
+constant); ``variational.FiberingRay.of_rows`` one pass per field per stack
+of rows, with the operator off; ``apply_operator``, ``gagliardo_sum`` and
+``bracket`` one pass with one of its two outputs off.
 The operator and the Gagliardo sum are written here only.
 The bracket stays sum |d|^p W h^(2N)/p, with its own power of |d|, and is
 never taken from the duality shortcut inner(Lu, u)/p: the shortcut differs in
@@ -36,12 +34,12 @@ the last bits, and the adaptive step controller amplifies ulp changes in K(A)
 into the step size.  Every output is therefore bit-identical to the separate
 passes.
 
-One thread: ``pair_values`` runs the passes of u and v one after the other
-on the calling thread.  Handing v's pass to a worker thread saved nothing on
-a 2-vCPU Xeon VM (numpy 2.4.6): with the passes below, the M = 256 simulate
-benchmark took a median 0.236 s on one thread against 0.252 s with the
-worker (8 of 8 alternating pairs won by one thread), though two threads of
-bare ``np.power`` ran 1.4-1.9x as fast as one there.  Each pass builds d from
+One thread: the passes of u and v run one after the other on the calling
+thread.  Handing v's pass to a worker thread saved nothing on a 2-vCPU Xeon
+VM (numpy 2.4.6): with the passes below, the M = 256 simulate benchmark took
+a median 0.236 s on one thread against 0.252 s with the worker (8 of 8
+alternating pairs won by one thread), though two threads of bare
+``np.power`` ran 1.4-1.9x as fast as one there.  Each pass builds d from
 a row copy and a row-broadcast subtract, forms |d|^(p-1) with d's sign as
 |d| d when p - 1 == 2.0 (``np.power`` squares there) and otherwise copies
 the sign bit on int64 views; every rewrite is exact, so the results equal
@@ -206,22 +204,6 @@ def peak_bytes(node_count: int) -> int:
     a weight table per exponent and the calling thread's two M x M pass
     buffers."""
     return 8 * node_count ** 2 * (2 + 2)
-
-
-def pair_values(
-    uu: np.ndarray, ku: Kernel, vv: np.ndarray, kv: Kernel, operator: bool,
-    seminorm: bool = True,
-) -> tuple[tuple[np.ndarray | None, float | np.ndarray | None],
-           tuple[np.ndarray | None, float | np.ndarray | None]]:
-    """The dense passes of u (kernel ku) and v (kernel kv) on nodal values,
-    one after the other; uu and vv may be stacks of fields of any length.
-
-    Returns ``(_dense_pass(uu, ku, operator, seminorm),
-    _dense_pass(vv, kv, operator, seminorm))``: per field, the operator
-    values (None unless ``operator``) and the Gagliardo sum (None unless
-    ``seminorm``).
-    """
-    return _dense_pass(uu, ku, operator, seminorm), _dense_pass(vv, kv, operator, seminorm)
 
 
 def gagliardo_sum(u: GridField, p: float, s: float) -> float:

@@ -104,9 +104,6 @@ class KirchhoffFn:
         b = 0, whose values never form 0 * z^c (see ``_k_values``)."""
         return self.kind == "affine_power" and self.b == 0
 
-    def __call__(self, z):
-        return k_eval(self, z)
-
 
 def k_eval(K: KirchhoffFn, z):
     """Evaluate K(z) for scalar or array z >= 0."""

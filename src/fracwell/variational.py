@@ -24,19 +24,18 @@ estimated from above by sampling direction pairs, projecting each onto the
 Nehari set along its ray, and taking the running minimum; it is an upper
 estimate and is labeled as such wherever it is consumed.
 
-The directions are drawn and summed as arrays too: each child generator of
-the seed draws a pair's mode weights in one call, the fields of a chunk of
-pairs are stacked rows (16 KiB per array), and their brackets and coupling
-sums come out per row from one ``fracops.pair_values`` call and one masked
-log per chunk.  Every sum runs over one row, so each direction's fields and
-sums are bit-identical to those of a lone direction; a lone pair's fibering
-ray is the same code on a stack of one.  ``FiberingRay.from_pair`` is the one
-route from a pair to its six sums: the classification reads the coupling
+``FiberingRay.of_rows`` is the one route from fields to rays: per stack of
+row pairs (U, V), the brackets from one ``fracops._dense_pass`` per field
+and the couplings from one masked log.  Every sum runs over one row, so each
+ray is bit-identical to its pair's alone: a lone pair's ray (``from_pair``)
+is a stack of one, the well-depth directions are stacks of 16 KiB per array
+(each child generator of the seed draws a pair's mode weights in one call),
+and a trace's rows are one stack.  The classification reads the coupling
 mass behind its threshold d* from the ray that gives phi0 and psi0, and
 ``simulate`` scans the same ray for its fibering artifacts.
 
-The projection runs on arrays: all sampled rays are stacked into one batch
-``FiberingRay`` and expanded and bisected together, each ray under the same
+The projection runs on arrays: all sampled rays are one batch
+``FiberingRay``, expanded and bisected together, each ray under the same
 rules as a lone ray (``FiberingRay.epsilon_star`` is a batch of one).  The
 results are bit-identical to a scalar bisection per ray.  That needs the
 powers of eps to go through libm ``pow``, element by element, as Python's
@@ -57,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fracops import gagliardo_sum, kernel, pair_values
+from .fracops import _dense_pass, gagliardo_sum, kernel
 from .grids import (
     GridDomain, GridField, GridError, discrete_norm, random_smooth_field, sample_field,
     smooth_mode_rows,
@@ -142,7 +141,7 @@ class FiberingRay:
     and Nehari values of a state, and every trace row, are its ray evaluated
     at eps = 1, where every power of eps and log(eps) is exact.
 
-    The sums may also be equal-length arrays (see ``stack``): the object is
+    The sums may also be equal-length arrays (see ``of_rows``): the object is
     then a batch of rays sharing params and coefficients, and each method
     takes an eps array of that length and evaluates ray i at eps[i].
     """
@@ -158,23 +157,31 @@ class FiberingRay:
     log_coupling_high: float
 
     @classmethod
-    def from_pair(cls, u, v, params, K_p, K_q) -> "FiberingRay":
-        """The ray of the pair (u, v): its six sums from ``_ray_rows`` on a
-        stack of one pair."""
-        if u.domain != v.domain:
-            raise GridError("ray sums need a shared domain")
-        rows = _ray_rows(u.values[None], v.values[None], u.domain, params)
-        return cls(params, K_p, K_q, **{name: float(total[0]) for name, total in rows.items()})
+    def of_rows(cls, stacks, grid, params, K_p, K_q) -> "FiberingRay":
+        """The batch of rays of the row pairs (U[i], V[i]) of the stacks
+        (U, V), in order, each its pair's own ray bit for bit: per stack, one
+        ``_dense_pass`` per field, operator off, and ``_coupling_rows``."""
+        p, q, s = params.p, params.q, params.s
+        k_p, k_q = kernel(grid, p, s), kernel(grid, q, s)
+        sums = [dict(bracket_u=_dense_pass(U, k_p, False, True)[1] / p,
+                     bracket_v=_dense_pass(V, k_q, False, True)[1] / q,
+                     **_coupling_rows(U, V, params.sigma, grid.cell_measure))
+                for U, V in stacks]
+        return cls(params, K_p, K_q,
+                   **{f: np.concatenate([c[f] for c in sums]) for f in _RAY_SUMS})
 
     @classmethod
-    def stack(cls, rays: Sequence["FiberingRay"]) -> "FiberingRay":
-        """One batch of the given rays, which share params and coefficients."""
-        return dataclasses.replace(
-            rays[0], **{f: np.array([getattr(r, f) for r in rays]) for f in _RAY_SUMS})
+    def from_pair(cls, u, v, params, K_p, K_q) -> "FiberingRay":
+        """The ray of the pair (u, v): ``of_rows`` on a stack of one pair."""
+        if u.domain != v.domain:
+            raise GridError("ray sums need a shared domain")
+        rays = cls.of_rows([(u.values[None], v.values[None])], u.domain, params, K_p, K_q)
+        return dataclasses.replace(rays, **{f: float(getattr(rays, f)[0]) for f in _RAY_SUMS})
 
     def take(self, idx) -> "FiberingRay":
-        """The sub-batch of the rays at the given indices."""
-        return dataclasses.replace(self, **{f: getattr(self, f)[idx] for f in _RAY_SUMS})
+        """The sub-batch at the given indices; a lone ray is a batch of one."""
+        return dataclasses.replace(
+            self, **{f: np.atleast_1d(getattr(self, f))[idx] for f in _RAY_SUMS})
 
     def scaled_brackets(self, eps):
         """Brackets of the scaled pair; eps may be a scalar or an array."""
@@ -246,7 +253,7 @@ class FiberingRay:
         """
         if not any(getattr(self, name) for name in _RAY_SUMS):
             raise BracketingError("fibering root not bracketed: psi vanishes on the whole ray")
-        star, iters, side = _project_rays(FiberingRay.stack([self]), variant)
+        star, iters, side = _project_rays(self, variant)
         if side[0]:
             raise BracketingError(
                 f"fibering root not bracketed {'above' if side[0] > 0 else 'below'}")
@@ -274,7 +281,7 @@ def _project_rays(ray: FiberingRay, variant: str):
     moving are kept as an index array; each step evaluates psi once on all
     of them.
     """
-    n = len(ray.bracket_u)
+    n = np.size(ray.bracket_u)
     f1 = ray.psi(np.ones(n), variant)
     up = f1 > 0.0
     lo = np.where(up, 1.0, 0.5)     # hi = 2 lo, exactly, until the bisection
@@ -366,17 +373,6 @@ def _direction_chunks(grid: GridDomain, count: int, seed: int, modes: int = 6):
         yield labels, U, V
 
 
-def _ray_rows(U: np.ndarray, V: np.ndarray, grid: GridDomain,
-              params: ModelParams) -> dict[str, np.ndarray]:
-    """The six ray sums of every row pair (U[i], V[i]), by field name, each
-    equal bit for bit to the sums of that pair alone: the brackets from one
-    ``pair_values`` call, the couplings from ``_coupling_rows``."""
-    p, q, s = params.p, params.q, params.s
-    (_, gag_u), (_, gag_v) = pair_values(U, kernel(grid, p, s), V, kernel(grid, q, s), False)
-    return dict(bracket_u=gag_u / p, bracket_v=gag_v / q,
-                **_coupling_rows(U, V, params.sigma, grid.cell_measure))
-
-
 # estimates kept per process; one holds about 42 KiB at 200 directions
 _WELL_MEMO_SIZE = 16
 
@@ -410,15 +406,13 @@ def estimate_well_depth(
     process, the test suite, ``fracwell validate``'s two well suites); a
     single ``fracwell simulate`` process computes its estimate once either
     way.  Code that replaces the sampler's internals (monkeypatching
-    ``_direction_chunks`` or ``_ray_rows``) should call
+    ``_direction_chunks`` or ``FiberingRay.of_rows``) should call
     ``estimate_well_depth.cache_clear()`` first.
     """
     if not params.well_regime:
         raise ParamError("well depth needs admissible (well-regime) parameters")
     chunks = list(_direction_chunks(grid, directions, seed, modes))
-    sums = [_ray_rows(U, V, grid, params) for _, U, V in chunks]
-    rays = FiberingRay(params, K_p, K_q,
-                       **{name: np.concatenate([c[name] for c in sums]) for name in _RAY_SUMS})
+    rays = FiberingRay.of_rows([(U, V) for _, U, V in chunks], grid, params, K_p, K_q)
     labels = [label for chunk in chunks for label in chunk[0]]
     star, _, side = _project_rays(rays, variant)
     found = np.flatnonzero(side == 0)

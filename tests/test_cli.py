@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fracwell import GridField, cli, fracops, variational
+from fracwell import GridField, artifacts, cli, fracops, variational
 from fracwell.cli import main
 from fracwell.config import ConfigError, ExperimentConfig
 from fracwell.params import ParamError
@@ -323,6 +323,33 @@ class TestClassifyCommand:
         out2 = json.loads(capsys.readouterr().out)
         assert out1 == out2
 
+    # the initial pair's sums overflow on purpose, with numpy's warnings
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_numbers_are_written_as_json(self, tmp_path, capsys):
+        # at amplitude 1e40, phi0 and psi0 are NaN and d* is -inf: classify
+        # prints NaN as null, and it and summary.json keep d*'s sign
+        raw = json.loads((CONFIGS / "blowup.json").read_text())
+        for name in ("initial_u", "initial_v"):
+            raw[name]["amplitude"] = 1e40
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+
+        def strict(text):
+            return json.loads(text, parse_constant=lambda token: pytest.fail(f"not JSON: {token}"))
+
+        assert main(["classify", "--config", str(path)]) == 0
+        out = strict(capsys.readouterr().out)
+        assert (out["phi0"], out["psi0"], out["d_star"]) == (None, None, "-inf")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 10
+        summary = strict((tmp_path / "out" / "run-seed1" / "summary.json").read_text())
+        assert summary["classification"]["d_star"] == "-inf"
+
+    def test_json_text_keeps_the_sign_of_infinities(self):
+        payload = {"a": [np.inf, -np.inf, np.nan], "b": np.array([-np.inf, 1.5]),
+                   "c": np.float64(-np.inf), "d": np.int64(3)}
+        assert json.loads(artifacts.json_text(payload)) == {
+            "a": ["inf", "-inf", None], "b": ["-inf", 1.5], "c": "-inf", "d": 3}
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["classify", "--config", str(missing)]) == 1
@@ -401,17 +428,18 @@ class TestSimulateCommand:
 
     def test_one_ray_serves_classification_and_fibering(self, tmp_path, capsys, monkeypatch):
         # the initial pair's ray gives d*, phi0 and psi0, and is then scanned
-        pairs = []
-        real = variational._ray_rows
-        monkeypatch.setattr(variational, "_ray_rows",
-                            lambda U, V, *a: pairs.append((U, V)) or real(U, V, *a))
+        calls = []
+        real = variational.FiberingRay.of_rows.__func__
+        monkeypatch.setattr(variational.FiberingRay, "of_rows", classmethod(
+            lambda cls, stacks, *a: calls.append(list(stacks)) or real(cls, calls[-1], *a)))
         path = make_config(tmp_path)
         assert main(["simulate", "--config", str(path)]) == 0
         cfg = ExperimentConfig.load(path)
         u0, v0 = cfg.build_initial_pair(cfg.build_grid())
-        initial = [1 for U, V in pairs if len(U) == 1 and np.array_equal(U[0], u0.values)
-                   and np.array_equal(V[0], v0.values)]
-        assert len(initial) == 1 and len(pairs) > 1      # the well depth's chunks too
+        initial = [1 for stacks in calls for U, V in stacks if len(U) == 1
+                   and np.array_equal(U[0], u0.values) and np.array_equal(V[0], v0.values)]
+        assert len(initial) == 1
+        assert max(len(stacks) for stacks in calls) > 1     # the well depth's chunks too
         assert "eps*" in (tmp_path / "out" / "run-seed3" / "fibering.svg").read_text()
 
     def test_seed_and_out_overrides(self, tmp_path, capsys):
@@ -481,9 +509,9 @@ class TestFiberingCommand:
 
     def test_one_ray_serves_scan_star_and_mark(self, tmp_path, capsys, monkeypatch):
         built = []
-        real = variational._ray_rows
-        monkeypatch.setattr(variational, "_ray_rows",
-                            lambda *a: built.append(a) or real(*a))
+        real = variational.FiberingRay.of_rows.__func__
+        monkeypatch.setattr(variational.FiberingRay, "of_rows", classmethod(
+            lambda cls, *a: built.append(a) or real(cls, *a)))
         assert main(["fibering", "--config", str(make_config(tmp_path))]) == 0
         assert len(built) == 1
         assert "eps*" in (tmp_path / "out" / "run-seed3" / "fibering.svg").read_text()

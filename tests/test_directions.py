@@ -1,7 +1,7 @@
 """The batched well-depth directions and ray sums against one pair at a time.
 
 ``estimate_well_depth`` draws, normalizes and sums all its directions as
-stacked arrays (``_direction_chunks``, ``_ray_rows``).  The oracles below are
+stacked arrays (``_direction_chunks``, ``FiberingRay.of_rows``).  The oracles below are
 the per-direction code the batch replaced, kept verbatim: every field, both
 brackets and the four coupling sums must match it bit for bit, since the
 well depth d feeds the classification threshold and every artifact.
@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from fracwell import (
-    GridField, bracket, build_grid, discrete_norm, sample_field,
+    FiberingRay, GridField, KirchhoffFn, bracket, build_grid, discrete_norm, sample_field,
     validate_params,
 )
 from fracwell.grids import random_smooth_field
-from fracwell.variational import _coupling_rows, _direction_chunks, _ray_rows
+from fracwell.variational import _RAY_SUMS, _coupling_rows, _direction_chunks
 
 PARAMS = validate_params(N=1, s=0.5, p=3.0, q=3.5, sigma=4.0, beta=0.0)
 PARAMS_2D = validate_params(N=2, s=0.5, p=3.0, q=3.5, sigma=4.0, beta=0.0, mode="operations")
@@ -68,12 +68,18 @@ def lone_sums(u, v, params):
                 **lone_couplings(u, v, params.sigma))
 
 
+def of_rows(stacks, grid, params):
+    K = KirchhoffFn.constant(1.0)
+    return FiberingRay.of_rows(stacks, grid, params, K, K)
+
+
 def assert_rows_match(U, V, grid, params):
-    got = _ray_rows(U, V, grid, params)
+    got = of_rows([(U, V)], grid, params)
     for i, (u, v) in enumerate(zip(U, V)):
         want = lone_sums(GridField(grid, u), GridField(grid, v), params)
         for name, value in want.items():
-            assert np.float64(got[name][i]).tobytes() == np.float64(value).tobytes(), (i, name)
+            assert np.float64(getattr(got, name)[i]).tobytes() == np.float64(value).tobytes(), \
+                (i, name)
 
 
 @pytest.mark.parametrize("grid, params, count", [
@@ -127,8 +133,31 @@ def test_coupling_rows_sum_partial_masks_compacted():
         assert got[name].tobytes() == np.array([f[name] for f in filled]).tobytes()
 
 
-def test_pair_values_stacks_in_pieces():
+def test_of_rows_stacks_in_pieces():
     # 23 rows at M=40 walk in pieces of 10, 10 and 3 per field
     grid = build_grid(1.0, 40)
     U, V = np.random.default_rng(10).normal(size=(2, 23, 40))
     assert_rows_match(U, V, grid, PARAMS)
+
+
+@pytest.mark.parametrize("grid, params", [
+    (build_grid(1.0, 48), PARAMS),                      # pieces of 7 rows
+    (build_grid([1.0, 1.0], [6, 6]), PARAMS_2D),        # pieces of 12 rows
+], ids=["1d-M48", "2d-6x6"])
+def test_of_rows_over_several_stacks_equals_their_concatenation(grid, params):
+    # stacks of 7, 1 and 15 rows, against one stack of all 23 and each pair alone
+    K = KirchhoffFn.log1p(beta=1.0)
+    U, V = np.random.default_rng(11).normal(size=(2, 23, grid.node_count))
+    cuts = [(0, 7), (7, 8), (8, 23)]
+    several = FiberingRay.of_rows([(U[a:b], V[a:b]) for a, b in cuts], grid, params, K, K)
+    whole = FiberingRay.of_rows([(U, V)], grid, params, K, K)
+    assert (several.params, several.K_p, several.K_q) == (params, K, K)
+    for name in _RAY_SUMS:
+        assert getattr(several, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert getattr(several, name).shape == (23,)
+    for i, (u, v) in enumerate(zip(U, V)):
+        lone = FiberingRay.from_pair(GridField(grid, u), GridField(grid, v), params, K, K)
+        for name in _RAY_SUMS:
+            assert type(getattr(lone, name)) is float
+            assert np.float64(getattr(lone, name)).tobytes() == \
+                getattr(several, name)[i].tobytes(), (i, name)

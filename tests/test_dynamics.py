@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 import warnings
 from pathlib import Path
 
@@ -147,18 +148,21 @@ class TestIntegrate:
     def test_seminorm_is_taken_where_its_brackets_are_read(self, monkeypatch, grid32,
                                                           flagship_params, K_p, K_q, inner):
         # a stage takes the Gagliardo sums only where a coefficient reads its
-        # bracket; every row's ray sums come from one stacked call per run
+        # bracket, in two passes on the calling thread; every row's ray sums
+        # come from one stacked call per run
         flags, stacks = [], []
-        real, real_rows = dynamics.pair_values, dynamics._ray_rows
-        monkeypatch.setattr(dynamics, "pair_values", lambda *a: flags.append(a[5]) or real(*a))
-        monkeypatch.setattr(dynamics, "_ray_rows",
-                            lambda U, *a: stacks.append((len(U), len(a[0]))) or real_rows(U, *a))
+        real, real_rows = dynamics._dense_pass, FiberingRay.of_rows.__func__
+        monkeypatch.setattr(dynamics, "_dense_pass",
+                            lambda *a: flags.append((a[3], threading.get_ident())) or real(*a))
+        monkeypatch.setattr(FiberingRay, "of_rows", classmethod(
+            lambda cls, rows, *a: stacks.append([(len(U), len(V)) for U, V in rows])
+            or real_rows(cls, rows, *a)))
         u0 = sample_field(grid32, "sine", 0.5)
         trace = integrate(u0, u0, flagship_params, K_p, K_q, IntegratorControls(t_end=0.5))
-        steps = (len(flags) - 1) // 6
+        steps = (len(flags) // 2 - 1) // 6
         assert steps >= len(trace) - 1 > 10
-        assert flags == [inner] * (1 + 6 * steps)
-        assert stacks == [(len(trace), len(trace))]
+        assert flags == [(inner, threading.get_ident())] * 2 * (1 + 6 * steps)
+        assert stacks == [[(len(trace), len(trace))]]
 
     @pytest.mark.parametrize("z", [1.25, 1.5], ids=["inner-stage", "seventh-stage"])
     def test_bracket_overflow_in_a_stage(self, monkeypatch, z):

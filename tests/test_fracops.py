@@ -266,7 +266,8 @@ def test_workspace_reuse_leaves_earlier_results_alone():
 
 
 # ---------------------------------------------------------------------------
-# pair pass (``pair_values``): u's pass, then v's, on the calling thread
+# the dense pass per field, on fields and stacks; a pair's passes run u's
+# pass, then v's, on the calling thread
 # ---------------------------------------------------------------------------
 
 def _bits(result):
@@ -282,9 +283,9 @@ def _pair(grid, seed):
 
 
 def _pair_pass(u, p, v, q, s, operator, seminorm=True):
-    """``pair_values`` of two fields on their kernels."""
-    return fracops.pair_values(u.values, kernel(u.domain, p, s), v.values,
-                               kernel(v.domain, q, s), operator, seminorm)
+    """The dense passes of two fields on their kernels, u's then v's."""
+    return (fracops._dense_pass(u.values, kernel(u.domain, p, s), operator, seminorm),
+            fracops._dense_pass(v.values, kernel(v.domain, q, s), operator, seminorm))
 
 
 # (operator, seminorm): both, the sums alone, and the operator alone, whose
@@ -295,43 +296,14 @@ PASS_OUTPUTS = pytest.mark.parametrize("operator, seminorm",
 
 
 @PASS_OUTPUTS
-@pytest.mark.parametrize("grid", [
-    build_grid(1.0, 8), build_grid([1.0, 2.0], [2, 4]),
-    build_grid(1.0, 256), build_grid([1.0, 1.0], [16, 16]),
-], ids=["1d-M8", "2d-M8", "1d-M256", "2d-M256"])
-def test_pair_pass_bitwise_equals_two_serial_passes(monkeypatch, grid, operator, seminorm):
-    u, v = _pair(grid, grid.node_count)
-    ku, kv = kernel(u.domain, 3.0, 0.4), kernel(v.domain, 3.5, 0.4)
-    expected = (fracops._dense_pass(u.values, ku, operator, seminorm),
-                fracops._dense_pass(v.values, kv, operator, seminorm))
-    for (values, gag), w, k in zip(expected, (u, v), (ku, kv)):
-        assert (gag is None) != seminorm
-        if operator:
-            Lw, _ = fracops._dense_pass(w.values, k, True, True)
-            assert values.tobytes() == Lw.tobytes()
-    ran_on = []
-    serial_pass = fracops._dense_pass
-
-    def recording_pass(w, *args):
-        ran_on.append((w is u.values, threading.get_ident()))
-        return serial_pass(w, *args)
-
-    monkeypatch.setattr(fracops, "_dense_pass", recording_pass)
-    ru, rv = _pair_pass(u, 3.0, v, 3.5, 0.4, operator, seminorm)
-    assert (_bits(ru), _bits(rv)) == (_bits(expected[0]), _bits(expected[1]))
-    assert ran_on == [(True, threading.get_ident()), (False, threading.get_ident())]
-
-
-@PASS_OUTPUTS
 @pytest.mark.parametrize("m", [48, 100])
-def test_pair_pass_walks_a_stack_in_pieces(m, operator, seminorm):
+def test_dense_pass_walks_a_stack_in_pieces(m, operator, seminorm):
     # two full pieces and a one-row tail: 15 rows at M=48, 3 at M=100
     step = max(1, fracops._STACK_BYTES // (8 * m * m))
     grid = build_grid(1.0, m)
     U, V = np.random.default_rng(m).normal(size=(2, 2 * step + 1, m))
-    k_p, k_q = kernel(grid, 3.0, 0.4), kernel(grid, 3.5, 0.4)
-    got = fracops.pair_values(U, k_p, V, k_q, operator, seminorm)
-    for (values, gag), rows, k in zip(got, (U, V), (k_p, k_q)):
+    for rows, k in ((U, kernel(grid, 3.0, 0.4)), (V, kernel(grid, 3.5, 0.4))):
+        values, gag = fracops._dense_pass(rows, k, operator, seminorm)
         assert (values is None) != operator and (gag is None) != seminorm
         for i, row in enumerate(rows):
             lone = fracops._dense_pass(row, k, operator, True)
@@ -343,7 +315,7 @@ def test_pair_pass_walks_a_stack_in_pieces(m, operator, seminorm):
 
 
 @pytest.mark.parametrize("p, q", [(1.5, 3.0), (3.0, 2.0)])
-def test_pair_pass_signed_zeros_and_ties(p, q):
+def test_dense_pass_signed_zeros_and_ties(p, q):
     # -0.0 - 0.0 = -0.0: the operator's copysign term may carry the sign of
     # that zero where sign(d)|d|^(p-1) gives +0.0; they must still compare equal
     grid = build_grid(1.0, 12)
@@ -354,45 +326,47 @@ def test_pair_pass_signed_zeros_and_ties(p, q):
     zeros = (du == 0.0) & ~np.eye(12, dtype=bool)
     assert np.signbit(du[zeros]).any() and not np.signbit(du[zeros]).all()
     h = grid.cell_measure
-    for (values, gag), w, e in zip(_pair_pass(u, p, v, q, 0.4, True), (u, v), (p, q)):
+    for w, e in ((u, p), (v, q)):
+        values, gag = fracops._dense_pass(w.values, kernel(grid, e, 0.4), True, True)
         d = np.subtract.outer(w.values, w.values)
         W = weight_table(grid, e, 0.4)
         assert np.array_equal(
             values, 2.0 * h * np.sum(np.sign(d) * np.abs(d) ** (e - 1.0) * W, axis=1))
         assert np.float64(gag).tobytes() == np.float64(
             float(np.sum(np.abs(d) ** e * W) * h ** 2)).tobytes()
-        Lw, gag_w = fracops._dense_pass(w.values, kernel(w.domain, e, 0.4), True, True)
-        assert np.array_equal(Lw, values) and gag_w == gag
+        Lw, _ = fracops._dense_pass(w.values, kernel(grid, e, 0.4), True, False)
+        assert np.array_equal(Lw, values)
 
 
-def test_pair_pass_raises_errors_from_either_field():
-    # a table of the wrong shape fails inside the pass itself, in v's pass or
-    # in u's; the next good call on the same workspace gives the serial results
+def test_dense_pass_raises_on_a_table_of_the_wrong_shape():
+    # the bad table fails inside the pass itself, on a field or a stack; the
+    # next good call on the same workspace gives the results taken before
     grid = build_grid(1.0, 10)
     u, v = _pair(grid, 5)
+    stack = np.array([u.values, v.values])
     k = kernel(grid, 3.0, 0.5)
     k_bad = fracops.Kernel(weight_table(build_grid(1.0, 4), 3.0, 0.5), grid.cell_measure, 3.0)
-    with pytest.raises(ValueError, match="broadcast"):
-        fracops.pair_values(u.values, k, v.values, k_bad, True)
-    with pytest.raises(ValueError, match="broadcast"):
-        fracops.pair_values(u.values, k_bad, v.values, k, True)
-    ru, rv = _pair_pass(u, 3.0, v, 2.5, 0.5, True)
-    assert _bits(ru) == _bits(fracops._dense_pass(u.values, kernel(grid, 3.0, 0.5), True, True))
-    assert _bits(rv) == _bits(fracops._dense_pass(v.values, kernel(grid, 2.5, 0.5), True, True))
+    for values in (u.values, stack):
+        want = _bits(fracops._dense_pass(values, k, True, True))
+        with pytest.raises(ValueError, match="broadcast"):
+            fracops._dense_pass(values, k_bad, True, True)
+        assert _bits(fracops._dense_pass(values, k, True, True)) == want
 
 
 @pytest.mark.parametrize("q", [3.0, 3.5])   # the |d|·d branch and the sign-bit branch
-def test_pair_pass_runs_under_the_callers_errstate(q):
+def test_dense_pass_runs_under_the_callers_errstate(q):
     # only v's pass overflows: it follows the caller's np.errstate
     grid = build_grid(1.0, 10)
     u, v = _pair(grid, 6)
     k_u, k_v = kernel(grid, 3.0, 0.5), kernel(grid, q, 0.5)
     huge = v.values * 1e200
-    for seminorm in (True, False):
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            fracops.pair_values(u.values, k_u, huge, k_v, True, seminorm)
+    with np.errstate(over="raise"):
+        _, gag_u = fracops._dense_pass(u.values, k_u, True, True)
+        for seminorm in (True, False):
+            with pytest.raises(FloatingPointError):
+                fracops._dense_pass(huge, k_v, True, seminorm)
     with np.errstate(over="ignore", invalid="ignore"):
-        (_, gag_u), (_, gag_v) = fracops.pair_values(u.values, k_u, huge, k_v, True)
+        _, gag_v = fracops._dense_pass(huge, k_v, True, True)
     assert np.isfinite(gag_u) and gag_v == np.inf
 
 

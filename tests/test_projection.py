@@ -19,7 +19,7 @@ from fracwell import (
 )
 from fracwell import variational
 from fracwell.grids import random_smooth_field
-from fracwell.variational import _direction_chunks, _project_rays
+from fracwell.variational import _RAY_SUMS, _direction_chunks, _project_rays
 
 
 def scalar_epsilon_star(ray, variant, eps_min=1e-8, eps_max=1e8, rel_tol=1e-10):
@@ -110,8 +110,14 @@ MADE_UP = [
 ]
 
 
+def stacked(rays):
+    """One batch of the given rays, which share params and coefficients."""
+    return dataclasses.replace(
+        rays[0], **{f: np.array([getattr(r, f) for r in rays]) for f in _RAY_SUMS})
+
+
 def batch_results(rays, variant):
-    batch = FiberingRay.stack(rays)
+    batch = stacked(rays)
     star, iters, side = _project_rays(batch, variant)
     found = np.flatnonzero(side == 0)
     phis = dict(zip(found.tolist(), batch.take(found).phi(star[found])))
@@ -142,12 +148,31 @@ def test_iteration_cap(rays, monkeypatch):
 def test_ray_powers_match_scalar_calls(rays):
     # the batch's eps powers go through libm pow, so array evaluation equals
     # the scalar calls of a lone ray bit for bit
-    batch = FiberingRay.stack(rays[:63])
+    batch = stacked(rays[:63])
     eps = np.exp(np.linspace(-5.0, 5.0, 63))
     for method in ("phi", "psi_consistent", "psi_printed", "psi_scale"):
         got = getattr(batch, method)(eps)
         want = [getattr(ray, method)(e) for ray, e in zip(rays, eps.tolist())]
         assert got.tolist() == want, method
+
+
+@pytest.mark.parametrize("variant", ["consistent", "printed"])
+def test_lone_epsilon_star_is_its_entry_in_a_batch(rays, variant):
+    # epsilon_star projects a lone ray as a batch of one: its eps* and
+    # iteration count are the ray's entry in the whole batch, bit for bit
+    star, iters, side = _project_rays(stacked(rays), variant)
+    assert set(side.tolist()) == {-1, 0, 1}
+    for i, ray in enumerate(rays):
+        if i == len(rays) - 5:      # MADE_UP[0], all six sums zero: no root is isolated
+            with pytest.raises(BracketingError, match="whole ray"):
+                ray.epsilon_star(variant)
+        elif side[i]:
+            with pytest.raises(BracketingError, match="above" if side[i] > 0 else "below"):
+                ray.epsilon_star(variant)
+        else:
+            lone = ray.epsilon_star(variant)
+            assert np.float64(lone.value).tobytes() == star[i].tobytes(), i
+            assert lone.iterations == iters[i], i
 
 
 @pytest.mark.parametrize("counts", [[40], [6, 5]])

@@ -102,7 +102,8 @@ class TestBatchedRay:
         pairs = [tuple(w.scaled(a) for w in random_pair(grid32, 60 + k))
                  for k, a in enumerate(np.geomspace(0.05, 15.0, 48))]
         lone = [FiberingRay.from_pair(u, v, flagship_params, K, K) for u, v in pairs]
-        rays = FiberingRay.stack(lone)
+        U, V = (np.array([w.values for w in side]) for side in zip(*pairs))
+        rays = FiberingRay.of_rows([(U, V)], grid32, flagship_params, K, K)
         ones = np.ones(len(pairs))
         for name in ("phi", "psi_consistent", "psi_printed"):
             want = np.array([getattr(ray, name)(1.0) for ray in lone])
@@ -137,13 +138,13 @@ class TestFibering:
             coupling_high=float(np.sum((au * av) ** (sig + 1.0)) * hN),
             log_coupling_high=float(np.sum((au[mask] * av[mask]) ** (sig + 1.0) * lg) * hN))
         calls = []
-        for module, name in ((variational, "_masked_log_product"), (variational, "pair_values")):
+        for module, name in ((variational, "_masked_log_product"), (variational, "_dense_pass")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, _real=real, _name=name, **k:
                                 calls.append(_name) or _real(*a, **k))
         ray = FiberingRay.from_pair(u, v, prm, unit_kirchhoff, unit_kirchhoff)
-        assert sorted(calls) == ["_masked_log_product", "pair_values"]
+        assert sorted(calls) == ["_dense_pass", "_dense_pass", "_masked_log_product"]
         for name, value in expected.items():
             assert np.float64(getattr(ray, name)).tobytes() == np.float64(value).tobytes(), name
 

@@ -29,8 +29,8 @@ def test_warm_call_is_the_cold_estimate_without_a_pass(monkeypatch, grid32, flag
     cold = estimate_well_depth(grid32, flagship_params, unit_kirchhoff, unit_kirchhoff,
                                directions=10, seed=5)
     calls = []
-    real = variational.pair_values
-    monkeypatch.setattr(variational, "pair_values", lambda *a: calls.append(a) or real(*a))
+    real = variational._dense_pass
+    monkeypatch.setattr(variational, "_dense_pass", lambda *a: calls.append(a) or real(*a))
     warm = estimate_well_depth(grid32, flagship_params, unit_kirchhoff, unit_kirchhoff,
                                directions=10, seed=5)
     assert warm is cold and calls == []
