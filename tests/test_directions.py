@@ -1,10 +1,11 @@
 """The batched well-depth directions and ray sums against one pair at a time.
 
 ``estimate_well_depth`` draws, normalizes and sums all its directions as
-stacked arrays (``_direction_chunks``, ``FiberingRay.of_rows``).  The oracles below are
-the per-direction code the batch replaced, kept verbatim: every field, both
-brackets and the four coupling sums must match it bit for bit, since the
-well depth d feeds the classification threshold and every artifact.
+stacked arrays (``_direction_chunks``, ``FiberingRay.of_rows``).  The
+oracles below are the per-direction code the batch replaced, kept verbatim:
+every field, both brackets and the four coupling sums must match it bit for
+bit, since the well depth d feeds the classification threshold and every
+artifact.
 """
 
 import numpy as np
@@ -68,13 +69,9 @@ def lone_sums(u, v, params):
                 **lone_couplings(u, v, params.sigma))
 
 
-def of_rows(stacks, grid, params):
-    K = KirchhoffFn.constant(1.0)
-    return FiberingRay.of_rows(stacks, grid, params, K, K)
-
-
 def assert_rows_match(U, V, grid, params):
-    got = of_rows([(U, V)], grid, params)
+    K = KirchhoffFn.constant(1.0)
+    got = FiberingRay.of_rows([(U, V)], grid, params, K, K)
     for i, (u, v) in enumerate(zip(U, V)):
         want = lone_sums(GridField(grid, u), GridField(grid, v), params)
         for name, value in want.items():
