@@ -1,28 +1,23 @@
-"""On-disk artifacts: atomic writes, CSV/JSON emitters for traces, fields,
-fibering scans, well-depth samples, and run summaries.
+"""On-disk artifacts: atomic writes of text, JSON payloads and CSV columns.
 
-Every file is written to a temporary sibling and renamed into place, so a
-failing run never leaves a partially written artifact.
+The module knows file formats, not the lab's types: callers name the columns
+of each CSV and the keys of each JSON payload.  Every file is written to a
+temporary sibling and renamed into place, so a failing run never leaves a
+partially written artifact.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
-
-from .dynamics import SimTrace
-from .grids import GridField
-from .variational import WellEstimate
-
-# the trace's columns without the squared rates |u_t|^2, |v_t|^2
-TRACE_COLUMNS = tuple(c for c in SimTrace.COLUMNS if c not in ("ut_sq", "vt_sq"))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -67,35 +62,12 @@ def write_json(path: str | Path, payload: dict) -> None:
     atomic_write_text(path, json_text(payload) + "\n")
 
 
-def _csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    import io
-
+def write_csv(path: str | Path, columns: dict[str, Sequence]) -> None:
+    """A header of the column names, then one row per index: floats as
+    ``.17g``, anything else as it prints."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
+    writer.writerow(columns)
+    for row in zip(*columns.values()):
         writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
-
-
-def write_field_csv(path: str | Path, field: GridField) -> None:
-    """One row per node: x[,y],value with a mandatory header."""
-    header = ["x", "value"] if field.domain.ndim == 1 else ["x", "y", "value"]
-    rows = np.column_stack((field.domain.coords, field.values)).tolist()
-    atomic_write_text(path, _csv_text(header, rows))
-
-
-def write_trace_csv(path: str | Path, trace: SimTrace) -> None:
-    atomic_write_text(path, _csv_text(TRACE_COLUMNS, zip(*(trace[c] for c in TRACE_COLUMNS))))
-
-
-def write_fibering_csv(path: str | Path, cols: dict[str, np.ndarray]) -> None:
-    """The columns of ``FiberingRay.scan``, one row per eps."""
-    header = ("eps", "phi", "psi_consistent", "psi_printed")
-    atomic_write_text(path, _csv_text(header, zip(*(cols[c] for c in header))))
-
-
-def write_well_samples_csv(path: str | Path, estimate: WellEstimate) -> None:
-    header = ["label", "eps_star", "phi_at_star"]
-    rows = [[s.label, s.eps_star, s.phi_at_star] for s in estimate.samples]
-    atomic_write_text(path, _csv_text(header, rows))
+    atomic_write_text(path, buf.getvalue())

@@ -105,9 +105,11 @@ def cmd_simulate(args) -> int:
 
     run_dir = cfg.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    artifacts.write_field_csv(run_dir / "initial_u.csv", u0)
-    artifacts.write_field_csv(run_dir / "initial_v.csv", v0)
-    artifacts.write_trace_csv(run_dir / "trace.csv", trace)
+    artifacts.write_csv(run_dir / "initial_u.csv", _field_columns(u0))
+    artifacts.write_csv(run_dir / "initial_v.csv", _field_columns(v0))
+    # the trace's columns without the squared rates |u_t|^2, |v_t|^2
+    artifacts.write_csv(run_dir / "trace.csv", {
+        c: trace[c] for c in dynamics.SimTrace.COLUMNS if c not in ("ut_sq", "vt_sq")})
 
     cls_json, outcome_json = cls.to_json_dict(), trace.outcome.to_json_dict()
     fit_json = (dataclasses.asdict(dynamics.decay_fit(trace))
@@ -136,8 +138,7 @@ def cmd_simulate(args) -> int:
     artifacts.write_json(run_dir / "summary.json", summary)
     _emit_plots(run_dir, trace)
     if u0.max_abs() > 0.0 or v0.max_abs() > 0.0:  # a zero pair has no fibering ray
-        lo, hi, count = FIBERING_SCAN
-        _fibering_artifacts(run_dir, cfg, ray, lo, hi, _fibering_scan(ray, lo, hi, count))
+        _write_fibering(run_dir, cfg, ray, *FIBERING_SCAN)
 
     print(f"outcome: {trace.outcome.kind} at t={trace.outcome.t:.6g} "
           f"(verdict {cls.verdict}); artifacts in {run_dir}")
@@ -154,21 +155,27 @@ def _emit_plots(run_dir, trace):
              title="squared-norm sum vs time", xlabel="t", ylabel="mass")
 
 
-def _fibering_scan(ray, eps_lo, eps_hi, count):
-    """The ray's scan on ``count`` log-spaced points of [eps_lo, eps_hi]; a
-    grid that rounds to floats that do not increase is a config error."""
+def _field_columns(field):
+    """A field's CSV columns: x (and y) of each node, then its value."""
+    return {**dict(zip(("x", "y"), field.domain.coords.T)), "value": field.values}
+
+
+def _write_fibering(run_dir, cfg, ray, eps_lo, eps_hi, count):
+    """Scan the ray on ``count`` log-spaced points of [eps_lo, eps_hi], then
+    write the scan and its plot, with eps* marked, under ``run_dir``.  A grid
+    that rounds to floats that do not increase, and an eps whose ray values
+    overflow, are config errors, raised before ``run_dir`` is made."""
     try:
-        return ray.scan(np.exp(np.linspace(math.log(eps_lo), math.log(eps_hi), count)))
+        cols = ray.scan(np.exp(np.linspace(math.log(eps_lo), math.log(eps_hi), count)))
     except ValueError as exc:   # the grid check is the scan's only ValueError
         raise ConfigError(f"--eps-min {eps_lo}, --eps-max {eps_hi} and --points {count} "
                           f"give a bad grid: {exc}") from exc
-
-
-def _fibering_artifacts(run_dir, cfg, ray, eps_lo, eps_hi, cols):
-    """Write the scan of the initial pair's ray and its plot, with eps* marked."""
-    artifacts.write_fibering_csv(run_dir / "fibering.csv", cols)
-    marks = []
-    note = ""
+    except OverflowError as exc:
+        raise ConfigError(f"--eps-max {eps_hi} is too large: a power of eps on the ray "
+                          "overflows a float") from exc
+    run_dir.mkdir(parents=True, exist_ok=True)
+    artifacts.write_csv(run_dir / "fibering.csv", cols)
+    marks, note = [], ""
     try:
         star = ray.epsilon_star(cfg.psi_variant)
         if eps_lo <= star.value <= eps_hi:
@@ -197,10 +204,8 @@ def cmd_fibering(args) -> int:
     if u0.max_abs() == 0.0 and v0.max_abs() == 0.0:
         raise ValueError("fibering scan needs a nonzero pair")
     ray = variational.FiberingRay.from_pair(u0, v0, params, Kp, Kq)
-    cols = _fibering_scan(ray, lo, hi, points)
     run_dir = cfg.run_dir()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _fibering_artifacts(run_dir, cfg, ray, lo, hi, cols)
+    _write_fibering(run_dir, cfg, ray, lo, hi, points)
     print(f"fibering scan with {points} points written to {run_dir}")
     return EXIT_OK
 
@@ -211,7 +216,10 @@ def cmd_well_depth(args) -> int:
     est = _well_estimate(cfg, params, grid, Kp, Kq)
     run_dir = cfg.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    artifacts.write_well_samples_csv(run_dir / "well_samples.csv", est)
+    artifacts.write_csv(run_dir / "well_samples.csv", {
+        "label": [s.label for s in est.samples],
+        "eps_star": [s.eps_star for s in est.samples],
+        "phi_at_star": [s.phi_at_star for s in est.samples]})
     print(artifacts.json_text({
         "d": est.d, "samples": est.sample_count, "attempted": est.attempted,
         "bracketing_failures": est.bracketing_failures, "seed": est.seed,

@@ -513,7 +513,7 @@ def classify_initial_data(
     then reports Indeterminate.
 
     GlobalDecay when phi0 < d_star and psi0 >= 0; BlowUp when phi0 < d_star
-    and psi0 < 0; Indeterminate otherwise (including the excluded origin).
+    and psi0 < 0; Indeterminate otherwise (the origin, a non-finite phi0 or psi0).
     The verdict is relative to the sampled well-depth estimate d.
     """
     if d <= 0:
@@ -533,7 +533,9 @@ def classify_initial_data(
     phi0, psi0 = float(ray.phi(1.0)), float(ray.psi(1.0, variant))
     verdict, kind, expo, bound = "Indeterminate", "n/a", None, math.inf
     note = "phi0 >= d_star: hypotheses not met"
-    if phi0 < d_star and psi0 >= 0.0:
+    if not (math.isfinite(phi0) and math.isfinite(psi0)):
+        note = "phi0 or psi0 not finite: no comparison made"
+    elif phi0 < d_star and psi0 >= 0.0:
         verdict, note = "GlobalDecay", "relative to estimated d"
         kind = "exponential" if params.exponential_regime else "polynomial"
         expo = None if params.exponential_regime else params.poly_decay_exponent

@@ -327,7 +327,8 @@ class TestClassifyCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_numbers_are_written_as_json(self, tmp_path, capsys):
         # at amplitude 1e40, phi0 and psi0 are NaN and d* is -inf: classify
-        # prints NaN as null, and it and summary.json keep d*'s sign
+        # prints NaN as null, and it and summary.json keep d*'s sign and say
+        # that no comparison was made
         raw = json.loads((CONFIGS / "blowup.json").read_text())
         for name in ("initial_u", "initial_v"):
             raw[name]["amplitude"] = 1e40
@@ -339,10 +340,13 @@ class TestClassifyCommand:
 
         assert main(["classify", "--config", str(path)]) == 0
         out = strict(capsys.readouterr().out)
+        note = "phi0 or psi0 not finite: no comparison made"
         assert (out["phi0"], out["psi0"], out["d_star"]) == (None, None, "-inf")
+        assert (out["verdict"], out["note"]) == ("Indeterminate", note)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 10
         summary = strict((tmp_path / "out" / "run-seed1" / "summary.json").read_text())
         assert summary["classification"]["d_star"] == "-inf"
+        assert summary["classification"]["note"] == note
 
     def test_json_text_keeps_the_sign_of_infinities(self):
         payload = {"a": [np.inf, -np.inf, np.nan], "b": np.array([-np.inf, 1.5]),
@@ -532,8 +536,10 @@ class TestFiberingCommand:
         (["--eps-min", "nan"], "--eps-min"), (["--eps-max", "inf"], "--eps-max"),
         # five log-spaced points between two adjacent floats round to repeats
         (["--eps-min", "1", "--eps-max", "1.0000000000000002", "--points", "5"], "--points"),
+        # eps^10 (2 sigma + 2 at sigma = 4) overflows a float from about 6.7e30
+        (["--eps-max", "1e60"], "--eps-max"),
     ], ids=["points-0", "points-negative", "eps-min-0", "eps-min-negative", "eps-min-above-max",
-            "eps-min-nan", "eps-max-inf", "grid-not-increasing"])
+            "eps-min-nan", "eps-max-inf", "grid-not-increasing", "eps-max-overflow"])
     def test_bad_scan_flags_fail_by_name_before_the_run_directory(self, tmp_path, capsys,
                                                                   flags, name):
         out = tmp_path / "out"

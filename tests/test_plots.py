@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from fracwell import build_grid
-from fracwell.artifacts import write_field_csv
-from fracwell.cli import main
+from fracwell.artifacts import write_csv
+from fracwell.cli import _field_columns, main
 from fracwell.grids import sample_field
 from fracwell.svgplot import Series, plot_svg
 
@@ -144,6 +144,6 @@ def test_amplitude_1e8_blowup_ticks_are_distinct(tmp_path, capsys):
 
 def test_two_d_field_csv_matches_golden_hash(tmp_path):
     field = sample_field(build_grid([1.0, 1.0], [3, 3]), "bump", 0.7)
-    write_field_csv(tmp_path / "field.csv", field)
+    write_csv(tmp_path / "field.csv", _field_columns(field))
     assert _sha256(tmp_path / "field.csv") == (
         "3560c2dc2652e76bac3635fceccb6bec310d839809347feb4d59ca36f320d07a")
